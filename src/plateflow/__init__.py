@@ -8,7 +8,7 @@ convex-concave penalty.
 """
 
 from .constraints import (apply_dirichlet, identity_boundary_data,
-                          isometry_defect, tangent_constraint_matrix)
+                          isometry_defect, tangent_basis)
 from .dkt import (DeformationField, DktDofMap, flat_embedding, interpolate_dkt)
 from .energy import (SimulationParams, assemble_bending_stiffness,
                      penalty_energy, penalty_pieces, total_energy)
@@ -27,6 +27,6 @@ __all__ = [
     "generate_oshape_mesh", "generate_rectangle_mesh", "identity_boundary_data",
     "interpolate_dkt", "isometry_defect", "load_mesh", "penalty_energy",
     "penalty_pieces", "resolve", "run_flow", "save_mesh",
-    "step_size_safeguard", "tag_dirichlet_boundary", "tangent_constraint_matrix",
+    "step_size_safeguard", "tag_dirichlet_boundary", "tangent_basis",
     "total_energy",
 ]

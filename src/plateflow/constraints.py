@@ -1,20 +1,23 @@
-"""Linearized isometry constraints, boundary data, and the isometry defect.
+"""Tangent space of the linearized isometry constraint, boundary data, and the
+isometry defect.
 
 Updates of the gradient flow live in the tangent space of the nodal isometry
 constraint: at every free vertex z the symmetric part of grad(w)^T grad(y)
-must vanish.  That is three scalar rows per free vertex acting only on the
-six nodal gradient dofs of that vertex, ordered (11, 22, 12-symmetric).
+must vanish.  That is a 3x6 block C_z per free vertex, rows (11, 22, 12)
+acting only on the six nodal gradient dofs of that vertex.  Its kernel has a
+closed per-vertex basis, so the tangent space is spanned by a block-diagonal
+matrix Z: the identity on the three value dofs of each free vertex and a
+6x3 kernel block of C_z on its gradient dofs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dkt import DeformationField, DktDofMap
+from .dkt import DeformationField
 from .mesh import TriangleMesh
 
 
@@ -22,80 +25,50 @@ class ConstraintDegeneracyError(RuntimeError):
     """A per-vertex constraint block lost rank; the nodal gradients degenerated."""
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Sparse constraint matrix over the full dof vector.
+def constraint_blocks(field: DeformationField, free_vertices: np.ndarray) -> np.ndarray:
+    """Per-vertex constraint blocks C_z, shape (#free vertices, 3, 6).
 
-    matrix        (3 * #free vertices, 9 V) csr
-    free_vertices row-block v of three rows belongs to free_vertices[v]
+    Rows (11, 22, 12); columns the gradient dofs of the vertex in dof order
+    (d1 w_1, d2 w_1, d1 w_2, d2 w_2, d1 w_3, d2 w_3), so that C_z applied to
+    grad(w)(z) gives a1.d1w, a2.d2w and a2.d1w + a1.d2w, with (a1, a2) the
+    columns of grad(y)(z).
     """
-
-    matrix: sp.csr_matrix
-    free_vertices: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return self.matrix.shape[0]
-
-
-class ConstraintBuilder:
-    """Rebuilds the tangent-space matrix each step; the sparsity pattern is
-    fixed by the dof map so only the data vector changes."""
-
-    def __init__(self, dofmap: DktDofMap):
-        self.dofmap = dofmap
-        free = dofmap.free_vertices
-        self.free_vertices = free
-        n = len(free)
-        # per vertex: row (11) hits kind-1 dofs, row (22) kind-2, row (12) both
-        base = 9 * free[:, None] + 3 * np.arange(3)[None, :]  # (n, 3 comps)
-        cols11 = base + 1
-        cols22 = base + 2
-        cols12 = np.stack([base + 1, base + 2], axis=2).reshape(n, 6)
-        self._indices = np.concatenate([cols11, cols22, cols12], axis=1).reshape(-1)
-        counts = np.tile([3, 3, 6], n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._shape = (3 * n, dofmap.num_dofs)
-
-    def build(self, field: DeformationField) -> ConstraintSystem:
-        g = field.gradients()[self.free_vertices]  # (n, 3, 2)
-        a1 = g[:, :, 0]
-        a2 = g[:, :, 1]
-        data = np.concatenate(
-            [a1, a2, np.stack([a2, a1], axis=2).reshape(-1, 6)], axis=1).reshape(-1)
-        mat = sp.csr_matrix((data, self._indices, self._indptr), shape=self._shape)
-        return ConstraintSystem(mat, self.free_vertices)
-
-    def min_block_singular_value(self, field: DeformationField) -> float:
-        """Smallest singular value over the per-vertex 3x6 constraint blocks."""
-        if len(self.free_vertices) == 0:
-            return np.inf
-        g = field.gradients()[self.free_vertices]
-        a1 = g[:, :, 0]
-        a2 = g[:, :, 1]
-        zero = np.zeros_like(a1)
-        blocks = np.concatenate([
-            np.concatenate([a1, zero], axis=1)[:, None, :],
-            np.concatenate([zero, a2], axis=1)[:, None, :],
-            np.concatenate([a2, a1], axis=1)[:, None, :],
-        ], axis=1)  # (n, 3, 6)
-        gram = blocks @ blocks.transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(gram)
-        return float(np.sqrt(max(lam[:, 0].min(), 0.0)))
+    g = field.gradients()[free_vertices]  # (n, 3 comps, 2)
+    blocks = np.zeros((len(free_vertices), 3, 3, 2))
+    blocks[:, 0, :, 0] = g[:, :, 0]
+    blocks[:, 1, :, 1] = g[:, :, 1]
+    blocks[:, 2] = g[:, :, ::-1]
+    return blocks.reshape(-1, 3, 6)
 
 
-def tangent_constraint_matrix(field: DeformationField, dofmap: DktDofMap) -> ConstraintSystem:
-    """One-shot construction of the tangent-space constraint system at `field`."""
-    return ConstraintBuilder(dofmap).build(field)
+def tangent_basis(field: DeformationField,
+                  free_vertices: np.ndarray) -> tuple[sp.csr_matrix, float]:
+    """Basis Z of the tangent space at `field` and the smallest singular value
+    over the constraint blocks.
+
+    Z has shape (9 n, 6 n) for n free vertices; its rows follow the free dofs
+    (all nine dofs of each free vertex, in dof order) and its columns are, per
+    vertex, the three value dofs and then three kernel directions of C_z,
+    taken from the last three right singular vectors of the block.  The
+    columns of each vertex are orthonormal.
+    """
+    n = len(free_vertices)
+    _, s, vt = np.linalg.svd(constraint_blocks(field, free_vertices))
+    # rows of a vertex, per component: the value row holds a 1 in the
+    # component's value column, the d1 and d2 rows the kernel coefficients
+    data = np.ones((n, 3, 7))
+    data[:, :, 1:] = vt[:, 3:, :].transpose(0, 2, 1).reshape(n, 3, 6)
+    cols = np.array([[c, 3, 4, 5, 3, 4, 5] for c in range(3)])
+    indices = 6 * np.arange(n)[:, None, None] + cols
+    indptr = np.concatenate([[0], np.cumsum(np.tile([1, 3, 3], 3 * n))])
+    Z = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+                      shape=(9 * n, 6 * n))
+    return Z, float(s[:, 2].min())
 
 
 def isometry_defect(field: DeformationField) -> float:
     """Max over vertices of the Frobenius norm of grad(y)^T grad(y) - I."""
-    g = field.gradients()
-    gram = np.einsum("vci,vcj->vij", g, g)
-    gram[:, 0, 0] -= 1.0
-    gram[:, 1, 1] -= 1.0
-    return float(np.sqrt((gram**2).sum(axis=(1, 2))).max())
+    return float(nodal_isometry_defects(field).max())
 
 
 def nodal_isometry_defects(field: DeformationField) -> np.ndarray:

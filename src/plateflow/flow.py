@@ -1,17 +1,17 @@
 """Semi-implicit discrete gradient flows for the constrained bending energy.
 
-Each pseudo-time step solves one symmetric saddle-point system for the rate
-d_t y in the tangent space of the linearized nodal isometry constraint:
+Each pseudo-time step solves for the rate d_t y in the tangent space of the
+linearized nodal isometry constraint, d = Z u with Z the per-vertex kernel
+basis at the previous iterate (see `constraints.tangent_basis`):
 
-    (1 + tau) K d  (+ tau/eps M3 d)  +  B(y)^T lam = -K y + r_nl(y) + r_f (+ r_pen(y))
-    B(y) d = 0
+    Z^T ((1 + tau) K (+ tau/eps M3)) Z u = Z^T (-K y + r_nl(y) + r_f (+ r_pen(y)))
 
-and updates y <- y + tau d.  K is the bending stiffness (assembled once), B
-the per-vertex constraint matrix at the previous iterate (values rebuilt each
-step over a fixed pattern), r_nl the explicitly treated spontaneous-curvature
-terms, and in obstacle mode M3/r_pen the implicit convex and explicit concave
-parts of the penalty.  The iteration stops when ||grad theta(d_t y)|| drops
-below eps_stop.
+and updates y <- y + tau d.  K is the bending stiffness (assembled once), r_nl
+the explicitly treated spontaneous-curvature terms, and in obstacle mode
+M3/r_pen the implicit convex and explicit concave parts of the penalty.  The
+reduced matrix is symmetric positive definite, so a step is one sparse SPD
+solve (see `linsolve.tangent_solve`).  The iteration stops when
+||grad theta(d_t y)|| drops below eps_stop.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import energy as en
-from .constraints import (ConstraintBuilder, ConstraintDegeneracyError,
-                          isometry_defect)
+from .constraints import (ConstraintDegeneracyError, constraint_blocks,
+                          isometry_defect, tangent_basis)
 from .dkt import DeformationField, DktDofMap, element_operators, flat_embedding
 from .energy import SimulationParams
-from .linsolve import SaddleSolveError, factor_and_solve
+from .linsolve import SaddleSolveError, tangent_solve
 from .mesh import TriangleMesh
 
 MIN_BLOCK_SINGULAR_VALUE = 1e-3
@@ -127,13 +127,13 @@ class GradientFlow:
         self.ops = element_operators(mesh)
         self.K = en.assemble_bending_stiffness(mesh, self.dofmap, self.ops)
         self.free = self.dofmap.free_indices
+        self.free_vertices = self.dofmap.free_vertices
         A = (1.0 + params.tau) * self.K
         if params.penalized:
             self.M3 = en.third_component_lumped_mass(mesh)
             A = A + (params.tau / params.eps_penalty) * self.M3
             self._masses = en.vertex_lumped_masses(mesh)
         self.A_ff = A[self.free][:, self.free].tocsc()
-        self.builder = ConstraintBuilder(self.dofmap)
         self.force_rhs = en.force_rhs(mesh, params.f)
         self._rng = np.random.default_rng(0)
 
@@ -166,30 +166,17 @@ class GradientFlow:
     # -- one pseudo-time step -------------------------------------------------
 
     def step(self, state: FlowState) -> FlowState:
-        if self.params.penalized:
-            return self.penalized_flow_step(state)
-        return self.isometry_flow_step(state)
-
-    def isometry_flow_step(self, state: FlowState) -> FlowState:
-        return self._step(state, penalized=False)
-
-    def penalized_flow_step(self, state: FlowState) -> FlowState:
-        if not self.params.penalized:
-            raise ValueError("flow was not configured in penalized mode")
-        return self._step(state, penalized=True)
+        return self._step(state, self.params.penalized)
 
     def _step(self, state: FlowState, penalized: bool) -> FlowState:
         p = self.params
         y = state.y
 
-        smin = self.builder.min_block_singular_value(y)
+        Z, smin = tangent_basis(y, self.free_vertices)
         if smin <= MIN_BLOCK_SINGULAR_VALUE:
             raise ConstraintDegeneracyError(
                 f"nodal constraint block degenerated (min singular value {smin:.3e}); "
                 "the nodal gradients are no longer near-isometric")
-
-        B = self.builder.build(y).matrix
-        B_f = B[:, self.free]
 
         Ky = state.Ky if state.Ky is not None else self.K @ y.dofs
         nl = state.nl_rhs
@@ -200,13 +187,14 @@ class GradientFlow:
             rhs_full = rhs_full + en.penalty_rhs(
                 self.mesh, y, p.eps_penalty, p.obstacle_height, self._masses)
 
-        rhs = np.concatenate([rhs_full[self.free], np.zeros(B_f.shape[0])])
-        d_f, _ = factor_and_solve(self.A_ff, B_f, rhs)
+        d_f = tangent_solve(self.A_ff, Z, rhs_full[self.free])
 
         d = np.zeros(self.dofmap.num_dofs)
         d[self.free] = d_f
-        scale = max(float(np.abs(d_f).max()), 1e-300) if d_f.size else 1.0
-        residual = float(np.abs(B_f @ d_f).max()) / scale if B_f.shape[0] else 0.0
+        scale = max(float(np.abs(d_f).max(initial=0.0)), 1e-300)
+        grad_d = DeformationField(d).gradients()[self.free_vertices].reshape(-1, 6)
+        rows = np.einsum("nij,nj->ni", constraint_blocks(y, self.free_vertices), grad_d)
+        residual = float(np.abs(rows).max(initial=0.0)) / scale
 
         Kd = self.K @ d
         update_norm = float(np.sqrt(max(d @ Kd, 0.0)))

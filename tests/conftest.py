@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from plateflow import dkt, mesh as pm
-from plateflow.linsolve import factor_and_solve
+from plateflow.constraints import tangent_basis
+from plateflow.linsolve import tangent_solve
 
 EPS = np.finfo(np.float64).eps
 
@@ -87,6 +88,12 @@ def flat_energy_rounding_scale(mesh, field):
     return EPS * 0.5 * float(np.einsum("fcl,flm,fcm->", loc, np.abs(ops.bending), loc))
 
 
+def residual_rounding_scale(K, y):
+    """eps |K| |y|: componentwise scale of the rounding left in K y where the
+    exact product cancels to zero."""
+    return EPS * (abs(K) @ np.abs(y.dofs))
+
+
 def flat_update_rounding_scale(flow):
     """Energy norm of the flow step driven by a residual of rounding size.
 
@@ -97,10 +104,9 @@ def flat_update_rounding_scale(flow):
     the noise feeds the smoothest, least stiff modes of the step operator.
     """
     y = dkt.flat_embedding(flow.mesh)
-    rho = EPS * (abs(flow.K) @ np.abs(y.dofs))
-    B_f = flow.builder.build(y).matrix[:, flow.free]
-    rhs = np.concatenate([rho[flow.free], np.zeros(B_f.shape[0])])
-    d_f, _ = factor_and_solve(flow.A_ff, B_f, rhs)
+    rho = residual_rounding_scale(flow.K, y)
+    Z, _ = tangent_basis(y, flow.free_vertices)
+    d_f = tangent_solve(flow.A_ff, Z, rho[flow.free])
     K_ff = flow.K[flow.free][:, flow.free]
     return float(np.sqrt(d_f @ (K_ff @ d_f)))
 

@@ -6,48 +6,73 @@ from plateflow.dkt import DeformationField, DktDofMap, flat_embedding, interpola
 from conftest import cylinder_map, random_field
 
 
+GRAD_DOFS = np.array([1, 2, 4, 5, 7, 8])  # (d1 w_1, d2 w_1, d1 w_2, ..., d2 w_3)
+
+
+def vertex_block(Z, b):
+    """The 9x6 block of the tangent basis at the b-th free vertex."""
+    return Z[9 * b:9 * b + 9, 6 * b:6 * b + 6].toarray()
+
+
 def test_flat_constraint_rows(rect_l2_clamped):
     m = rect_l2_clamped
     dm = DktDofMap.from_mesh(m)
-    sys = cn.tangent_constraint_matrix(flat_embedding(m), dm)
-    assert sys.num_rows == 3 * len(dm.free_vertices)
-    B = sys.matrix
-    # at a flat vertex the rows read d1w1 = 0, d2w2 = 0, d1w2 + d2w1 = 0
-    v = sys.free_vertices[5]
-    rows = B[15:18].toarray()
-    e = np.zeros((3, B.shape[1]))
-    e[0, 9 * v + 1] = 1.0            # d1 w1
-    e[1, 9 * v + 3 + 2] = 1.0        # d2 w2
-    e[2, 9 * v + 3 + 1] = 1.0        # d1 w2
-    e[2, 9 * v + 2] = 1.0            # d2 w1
-    assert np.allclose(rows, e)
+    free = dm.free_vertices
+    Z, smin = cn.tangent_basis(flat_embedding(m), free)
+    assert Z.shape == (9 * len(free), 6 * len(free))
+    # block diagonal: every entry couples a vertex's dofs to its own columns
+    coo = Z.tocoo()
+    assert np.array_equal(coo.row // 9, coo.col // 6)
+    # at a flat vertex the kernel reads d1w1 = 0, d2w2 = 0, d1w2 + d2w1 = 0:
+    # it is spanned by d1w3, d2w3 and (d2w1 - d1w2) / sqrt(2)
+    expected = np.zeros((6, 3))
+    expected[4, 0] = expected[5, 1] = 1.0
+    expected[1, 2], expected[2, 2] = np.sqrt(0.5), -np.sqrt(0.5)
+    for b in (0, 5, len(free) - 1):
+        block = vertex_block(Z, b)
+        assert np.array_equal(block[[0, 3, 6], :3], np.eye(3))  # values pass through
+        assert not block[[0, 3, 6], 3:].any() and not block[GRAD_DOFS, :3].any()
+        kernel = block[GRAD_DOFS, 3:]
+        assert np.allclose(kernel @ kernel.T, expected @ expected.T, atol=1e-15)
+    assert np.isclose(smin, 1.0)
 
 
 def test_kernel_is_linearized_isometry(rect_l2_clamped):
-    # B w = 0 iff sym(grad w ^T grad y) vanishes at every free vertex
+    # C_z w = 0 iff sym(grad w ^T grad y) vanishes at z; the basis spans
+    # exactly that kernel with orthonormal columns per vertex
     m = rect_l2_clamped
     dm = DktDofMap.from_mesh(m)
+    free = dm.free_vertices
     rng = np.random.default_rng(61)
     y = random_field(m, rng)
-    sys = cn.tangent_constraint_matrix(y, dm)
     w = random_field(m, rng)
-    res = sys.matrix @ w.dofs
+    blocks = cn.constraint_blocks(y, free)
     gy = y.gradients()
     gw = w.gradients()
+    res = np.einsum("nij,nj->ni", blocks, gw[free].reshape(-1, 6))
     sym = np.einsum("vci,vcj->vij", gw, gy) + np.einsum("vci,vcj->vij", gy, gw)
     # rows carry (11, 22, 12): diagonal rows are half the symmetrized entries,
     # the mixed row is exactly sym[0,1]; the kernels coincide either way
-    for b, v in enumerate(sys.free_vertices):
-        assert np.isclose(res[3 * b + 0], 0.5 * sym[v, 0, 0], atol=1e-12)
-        assert np.isclose(res[3 * b + 1], 0.5 * sym[v, 1, 1], atol=1e-12)
-        assert np.isclose(res[3 * b + 2], sym[v, 0, 1], atol=1e-12)
+    assert np.allclose(res[:, 0], 0.5 * sym[free, 0, 0], atol=1e-12)
+    assert np.allclose(res[:, 1], 0.5 * sym[free, 1, 1], atol=1e-12)
+    assert np.allclose(res[:, 2], sym[free, 0, 1], atol=1e-12)
+    Z, _ = cn.tangent_basis(y, free)
+    for b in range(len(free)):
+        block = vertex_block(Z, b)
+        assert np.abs(blocks[b] @ block[GRAD_DOFS]).max() <= 1e-14 * np.abs(blocks[b]).max()
+        assert np.abs(block.T @ block - np.eye(6)).max() <= 1e-14
+    # a field in the range of the basis keeps sym(grad w^T grad y) = 0
+    tangent = np.zeros(9 * m.num_vertices)
+    tangent[dm.free_indices] = Z @ rng.standard_normal(Z.shape[1])
+    gt = DeformationField(tangent).gradients()
+    sym = np.einsum("vci,vcj->vij", gt, gy) + np.einsum("vci,vcj->vij", gy, gt)
+    assert np.abs(sym[free]).max() <= 1e-12
 
 
 def test_block_singular_values_near_isometry(rect_l2_clamped):
     # with two orthonormal gradient columns the 3x6 blocks keep sigma_min >= 1/2
     m = rect_l2_clamped
-    dm = DktDofMap.from_mesh(m)
-    builder = cn.ConstraintBuilder(dm)
+    free = DktDofMap.from_mesh(m).free_vertices
     rng = np.random.default_rng(67)
     for _ in range(10):
         # random nodal rotations: gradients are random orthonormal pairs
@@ -60,7 +85,7 @@ def test_block_singular_values_near_isometry(rect_l2_clamped):
         dofs[:, :, 1] = a
         dofs[:, :, 2] = b
         field = DeformationField(dofs.reshape(-1))
-        assert builder.min_block_singular_value(field) >= 0.5
+        assert cn.tangent_basis(field, free)[1] >= 0.5
 
 
 def test_isometry_defect_values(rect_l2):

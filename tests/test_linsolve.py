@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from plateflow.linsolve import SaddleSolveError, SaddleSystem, factor_and_solve
+from plateflow import linsolve
+from plateflow.constraints import constraint_blocks, tangent_basis
+from plateflow.dkt import DeformationField
+from plateflow.linsolve import SaddleSolveError, tangent_solve
 
 
 def dense_kkt_oracle(A, B, rhs):
@@ -17,105 +20,136 @@ def dense_kkt_oracle(A, B, rhs):
     return x[:n], x[n:]
 
 
+def random_spd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T + n * np.eye(n)
+
+
+def vertex_constraints(rng, num_vertices):
+    """Tangent basis and global constraint matrix of a random field whose
+    vertices are all free: B holds the per-vertex 3x6 blocks on the gradient
+    dofs, Z spans its kernel."""
+    field = DeformationField(rng.standard_normal(9 * num_vertices))
+    free = np.arange(num_vertices)
+    Z, _ = tangent_basis(field, free)
+    blocks = constraint_blocks(field, free)
+    B = np.zeros((3 * num_vertices, 9 * num_vertices))
+    grad_dofs = np.array([1, 2, 4, 5, 7, 8])
+    for v in free:
+        B[3 * v:3 * v + 3, 9 * v + grad_dofs] = blocks[v]
+    return Z, B
+
+
 def test_unconstrained_identity():
     A = sp.identity(4, format="csc")
     rhs = np.zeros(4)
     rhs[0] = 1.0
-    d, lam = factor_and_solve(A, None, rhs)
+    d = tangent_solve(A, sp.identity(4, format="csr"), rhs)
     assert np.allclose(d, rhs)
-    assert lam.size == 0
 
 
 def test_random_spd_with_constraints_matches_dense_oracle():
     rng = np.random.default_rng(83)
-    n, m = 30, 5
-    Q = rng.standard_normal((n, n))
-    A = Q @ Q.T + n * np.eye(n)
-    B = rng.standard_normal((m, n))
-    rhs = rng.standard_normal(n + m)
-    d, lam = factor_and_solve(sp.csc_matrix(A), sp.csc_matrix(B), rhs)
-    d0, lam0 = dense_kkt_oracle(A, B, rhs)
+    Z, B = vertex_constraints(rng, 5)
+    n = B.shape[1]
+    A = random_spd(rng, n)
+    rhs = rng.standard_normal(n)
+    d = tangent_solve(sp.csc_matrix(A), Z, rhs)
+    d0, _ = dense_kkt_oracle(A, B, np.concatenate([rhs, np.zeros(B.shape[0])]))
     assert np.abs(d - d0).max() < 1e-10
-    assert np.abs(lam - lam0).max() < 1e-10
-    # constraint block satisfied
-    assert np.abs(B @ d - rhs[n:]).max() < 1e-9
+    # constraint blocks satisfied
+    assert np.abs(B @ d).max() < 1e-12 * np.abs(d).max()
 
 
 def test_singular_direction_removed_by_constraint():
-    # A = diag(1, 1, 0) is singular, but B pins the null direction
+    # A = diag(1, 1, 0) is singular, but the basis excludes the null direction
     A = sp.diags([1.0, 1.0, 0.0]).tocsc()
-    B = sp.csc_matrix(np.array([[0.0, 0.0, 1.0]]))
-    rhs = np.array([2.0, -1.0, 0.5, 0.0])
-    d, lam = factor_and_solve(A, B, rhs)
-    d0, lam0 = dense_kkt_oracle(A.toarray(), B.toarray(), rhs)
+    Z = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    rhs = np.array([2.0, -1.0, 0.5])
+    d = tangent_solve(A, Z, rhs)
+    d0, lam0 = dense_kkt_oracle(A.toarray(), np.array([[0.0, 0.0, 1.0]]),
+                                np.concatenate([rhs, [0.0]]))
     assert np.allclose(d, d0)
-    assert abs(d[2]) < 1e-12
-    assert np.isclose(lam[0], 0.5)  # multiplier carries the forced load
+    assert d[2] == 0.0
+    assert np.isclose(lam0[0], 0.5)  # the oracle's multiplier carries the forced load
 
 
 def test_residual_contract():
+    # normwise backward error of the reduced system, invariant to its scale
     rng = np.random.default_rng(89)
-    n, m = 50, 12
-    Q = rng.standard_normal((n, n))
-    A = sp.csc_matrix(Q @ Q.T + n * np.eye(n))
-    B = sp.csc_matrix(rng.standard_normal((m, n)))
-    rhs = rng.standard_normal(n + m)
-    d, lam = factor_and_solve(A, B, rhs)
-    kkt = sp.bmat([[A, B.T], [B, None]], format="csc")
-    x = np.concatenate([d, lam])
-    assert np.abs(kkt @ x - rhs).max() <= 1e-9 * np.abs(rhs).max()
+    Z, _ = vertex_constraints(rng, 8)
+    n = Z.shape[0]
+    A = sp.csc_matrix(random_spd(rng, n))
+    rhs = rng.standard_normal(n)
+    for scale in (1.0, 1e-12, 1e12):
+        d = tangent_solve(scale * A, Z, rhs)
+        R = Z.T @ (scale * A) @ Z
+        u = Z.T @ d
+        b = Z.T @ rhs
+        err = np.abs(R @ u - b).max() / (
+            abs(R).sum(axis=1).max() * np.abs(u).max() + np.abs(b).max())
+        assert err <= linsolve.BACKWARD_ERROR_TOL
 
 
-def test_row_permutation_invariance():
+def test_corrupted_factorization_rejected(monkeypatch):
+    # a factorization of a perturbed matrix misses the contract even after
+    # the refinement step, and the solve must refuse its answer
+    rng = np.random.default_rng(113)
+    Z, _ = vertex_constraints(rng, 6)
+    n = Z.shape[0]
+    A = sp.csc_matrix(random_spd(rng, n))
+    rhs = rng.standard_normal(n)
+    genuine = linsolve.spla
+
+    class CorruptedSpla:
+        def __getattr__(self, attr):
+            return getattr(genuine, attr)
+
+        @staticmethod
+        def splu(R, **kwargs):
+            perturbed = R + 1e-3 * abs(R).max() * sp.identity(R.shape[0])
+            return genuine.splu(perturbed.tocsc(), **kwargs)
+
+    monkeypatch.setattr(linsolve, "spla", CorruptedSpla())
+    with pytest.raises(SaddleSolveError):
+        tangent_solve(A, Z, rhs)
+
+
+def test_basis_invariance():
+    # re-signed or rotated kernel directions span the same space: same d
     rng = np.random.default_rng(97)
-    n, m = 24, 6
-    Q = rng.standard_normal((n, n))
-    A = sp.csc_matrix(Q @ Q.T + n * np.eye(n))
-    B = rng.standard_normal((m, n))
-    rhs = rng.standard_normal(n + m)
-    d1, _ = factor_and_solve(A, sp.csc_matrix(B), rhs)
-    perm = rng.permutation(m)
-    rhs2 = np.concatenate([rhs[:n], rhs[n:][perm]])
-    d2, _ = factor_and_solve(A, sp.csc_matrix(B[perm]), rhs2)
-    assert np.abs(d1 - d2).max() < 1e-10
+    num_vertices = 4
+    Z, _ = vertex_constraints(rng, num_vertices)
+    n = Z.shape[0]
+    A = sp.csc_matrix(random_spd(rng, n))
+    rhs = rng.standard_normal(n)
+    d1 = tangent_solve(A, Z, rhs)
+    blocks = []
+    for _ in range(num_vertices):
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        blocks.append(Q * rng.choice([-1.0, 1.0], size=6))
+    d2 = tangent_solve(A, Z @ sp.block_diag(blocks, format="csr"), rhs)
+    assert np.abs(d1 - d2).max() < 1e-10 * np.abs(d1).max()
 
 
 def test_deterministic_resolve():
     rng = np.random.default_rng(101)
-    n, m = 40, 9
-    Q = rng.standard_normal((n, n))
-    A = sp.csc_matrix(Q @ Q.T + n * np.eye(n))
-    B = sp.csc_matrix(rng.standard_normal((m, n)))
-    rhs = rng.standard_normal(n + m)
-    d1, l1 = factor_and_solve(A, B, rhs)
-    d2, l2 = factor_and_solve(A.copy(), B.copy(), rhs.copy())
+    Z, _ = vertex_constraints(rng, 5)
+    n = Z.shape[0]
+    A = sp.csc_matrix(random_spd(rng, n))
+    rhs = rng.standard_normal(n)
+    d1 = tangent_solve(A, Z, rhs)
+    d2 = tangent_solve(A.copy(), Z.copy(), rhs.copy())
     assert np.array_equal(d1, d2)
-    assert np.array_equal(l1, l2)
-
-
-def test_factorization_handle_reused_across_rhs():
-    rng = np.random.default_rng(109)
-    n, m = 20, 4
-    Q = rng.standard_normal((n, n))
-    A = sp.csc_matrix(Q @ Q.T + n * np.eye(n))
-    B = sp.csc_matrix(rng.standard_normal((m, n)))
-    system = SaddleSystem(A, B)
-    assert system._lu is None
-    for _ in range(3):
-        rhs = rng.standard_normal(n + m)
-        d, lam = system.solve(rhs)
-        d0, lam0 = dense_kkt_oracle(A.toarray(), B.toarray(), rhs)
-        assert np.abs(d - d0).max() < 1e-10
-    assert system._lu is not None  # factorized once, reused
 
 
 def test_singular_system_raises():
     A = sp.csc_matrix((3, 3))  # zero matrix, no constraints
     with pytest.raises(SaddleSolveError):
-        factor_and_solve(A, None, np.ones(3))
+        tangent_solve(A, sp.identity(3, format="csr"), np.ones(3))
 
 
 def test_shape_mismatch_raises():
     A = sp.identity(3, format="csc")
     with pytest.raises(ValueError):
-        factor_and_solve(A, None, np.ones(5))
+        tangent_solve(A, sp.identity(3, format="csr"), np.ones(5))
