@@ -10,8 +10,12 @@ and updates y <- y + tau d.  K is the bending stiffness (assembled once), r_nl
 the explicitly treated spontaneous-curvature terms, and in obstacle mode
 M3/r_pen the implicit convex and explicit concave parts of the penalty.  The
 reduced matrix is symmetric positive definite, so a step is one sparse SPD
-solve (see `linsolve.tangent_solve`).  The iteration stops when
-||grad theta(d_t y)|| drops below eps_stop.
+solve (see `linsolve.tangent_solve`).  Its pattern is the same in every step,
+so the flow orders it once, at construction: the free vertices are numbered
+by `linsolve.vertex_elimination_order`, a minimum degree order of the mesh's
+vertex graph, and the free dofs, the rows of A_ff and those of Z follow that
+numbering.  The iteration stops when ||grad theta(d_t y)|| drops below
+eps_stop.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .constraints import (ConstraintDegeneracyError, constraint_blocks,
                           isometry_defect, tangent_basis)
 from .dkt import DeformationField, DktDofMap, element_operators, flat_embedding
 from .energy import SimulationParams
-from .linsolve import SaddleSolveError, tangent_solve
+from .linsolve import SaddleSolveError, tangent_solve, vertex_elimination_order
 from .mesh import TriangleMesh
 
 MIN_BLOCK_SINGULAR_VALUE = 1e-3
@@ -126,8 +130,10 @@ class GradientFlow:
         self.dofmap = DktDofMap.from_mesh(mesh)
         self.ops = element_operators(mesh)
         self.K = en.assemble_bending_stiffness(mesh, self.dofmap, self.ops)
-        self.free = self.dofmap.free_indices
-        self.free_vertices = self.dofmap.free_vertices
+        # free vertices in elimination order; their nine dofs each, in turn
+        self.free_vertices = vertex_elimination_order(mesh.triangles,
+                                                      self.dofmap.free_vertices)
+        self.free = (9 * self.free_vertices[:, None] + np.arange(9)).reshape(-1)
         A = (1.0 + params.tau) * self.K
         if params.penalized:
             self.M3 = en.third_component_lumped_mass(mesh)

@@ -125,10 +125,12 @@ def build_edge_data(vertices, triangles, dirichlet_pairs=()) -> TriangleMesh:
         bad = int(np.argmin(areas))
         raise MeshError(f"triangle {bad} is degenerate or clockwise (signed area {areas[bad]:.3e})")
 
-    # Canonical edge keys (lo, hi), indexed lexicographically.
+    # Canonical edges (lo, hi), indexed lexicographically: by the key lo V + hi.
     raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]])
     raw.sort(axis=1)
-    edges, inverse, counts = np.unique(raw, axis=0, return_inverse=True, return_counts=True)
+    keys, inverse, counts = np.unique(raw[:, 0] * len(vertices) + raw[:, 1],
+                                      return_inverse=True, return_counts=True)
+    edges = np.column_stack([keys // len(vertices), keys % len(vertices)])
     if (counts > 2).any():
         bad = edges[counts > 2][0]
         raise MeshError(f"edge {tuple(bad)} is shared by more than two triangles")
@@ -136,12 +138,12 @@ def build_edge_data(vertices, triangles, dirichlet_pairs=()) -> TriangleMesh:
     num_tri = len(triangles)
     tri_edges = inverse.reshape(3, num_tri).T.copy()
 
+    # the triangles of an edge in the order of their rows in `raw`: by local
+    # edge first, then by triangle index
+    rows = np.argsort(inverse, kind="stable")
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     edge_triangles = np.full((len(edges), 2), -1, dtype=np.int64)
-    fill = np.zeros(len(edges), dtype=np.int64)
-    for local in range(3):
-        for t, e in enumerate(tri_edges[:, local]):
-            edge_triangles[e, fill[e]] = t
-            fill[e] += 1
+    edge_triangles[inverse[rows], slot] = rows % num_tri
     boundary = counts == 1
 
     lo = vertices[edges[:, 0]]
@@ -182,52 +184,38 @@ def _structured_cells(level: int, bounds, pattern: str, hole=None):
     nx = round((x1 - x0) / h)
     ny = round((y1 - y0) / h)
 
-    def in_hole(i, j):
-        if hole is None:
-            return False
+    j, i = np.mgrid[0:ny, 0:nx]       # cell (i, j) at [j, i]
+    keep = np.ones((ny, nx), dtype=bool)
+    if hole is not None:
         hx0, hx1, hy0, hy1 = hole
         cx0, cy0 = x0 + i * h, y0 + j * h
-        return (cx0 >= hx0 - 1e-12 and cx0 + h <= hx1 + 1e-12
-                and cy0 >= hy0 - 1e-12 and cy0 + h <= hy1 + 1e-12)
-
-    keep = np.array([[not in_hole(i, j) for i in range(nx)] for j in range(ny)])
+        keep = ~((cx0 >= hx0 - 1e-12) & (cx0 + h <= hx1 + 1e-12)
+                 & (cy0 >= hy0 - 1e-12) & (cy0 + h <= hy1 + 1e-12))
 
     used = np.zeros((ny + 1, nx + 1), dtype=bool)
-    for j in range(ny):
-        for i in range(nx):
-            if keep[j, i]:
-                used[j:j + 2, i:i + 2] = True
+    for dj in (0, 1):
+        for di in (0, 1):
+            used[dj:dj + ny, di:di + nx] |= keep
 
+    # lexicographic in (x2, x1)
     index = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
-    coords = []
-    for j in range(ny + 1):            # lexicographic in (x2, x1)
-        for i in range(nx + 1):
-            if used[j, i]:
-                index[j, i] = len(coords)
-                coords.append((x0 + i * h, y0 + j * h))
+    index[used] = np.arange(used.sum())
+    vj, vi = np.nonzero(used)
+    coords = np.column_stack([x0 + vi * h, y0 + vj * h])
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            if not keep[j, i]:
-                continue
-            a = index[j, i]
-            b = index[j, i + 1]
-            c = index[j + 1, i + 1]
-            d = index[j + 1, i]
-            if pattern == "nonsymmetric":
-                swne = True
-            else:
-                # Diagonal through the center of the enclosing 2h-square.
-                swne = (i % 2) == (j % 2)
-            if swne:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-
-    return np.array(coords, dtype=np.float64), np.array(tris, dtype=np.int64)
+    cj, ci = np.nonzero(keep)
+    a = index[cj, ci]
+    b = index[cj, ci + 1]
+    c = index[cj + 1, ci + 1]
+    d = index[cj + 1, ci]
+    if pattern == "nonsymmetric":
+        swne = np.ones(len(cj), dtype=bool)
+    else:
+        # Diagonal through the center of the enclosing 2h-square.
+        swne = (ci % 2) == (cj % 2)
+    # per cell (a, b, c), (a, c, d) when cut from a to c, else (a, b, d), (b, c, d)
+    tris = np.column_stack([a, b, np.where(swne, c, d), np.where(swne, a, b), c, d])
+    return coords, tris.reshape(-1, 3)
 
 
 def generate_rectangle_mesh(level: int, pattern: str = "nonsymmetric") -> TriangleMesh:

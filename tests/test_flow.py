@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from plateflow import flow as fl, mesh as pm
-from plateflow.constraints import identity_boundary_data
+from plateflow.constraints import identity_boundary_data, tangent_basis
 from plateflow.dkt import flat_embedding
 from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_safeguard
@@ -142,6 +143,30 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
         assert report.termination_reason == "max_iters"
         assert report.iterations == steps
         assert state.update_norm > 0 and state.constraint_residual <= 1e-12
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_flow_orders_tangent_system(level):
+    # the flow numbers the free vertices once, in a fill-reducing order, and
+    # every step factors in that order; it fills no more than a minimum
+    # degree ordering of the step's own matrix, in that order or in dof order
+    run = resolve(RunConfig(experiment="oshape", level=level))
+    flow = GradientFlow(run.mesh, run.params)
+    assert np.array_equal(np.sort(flow.free_vertices), flow.dofmap.free_vertices)
+    assert np.array_equal(np.sort(flow.free), flow.dofmap.free_indices)
+    y = flow.step(flow.initial_state(run.initial)).y
+
+    def fill(free_vertices, spec):
+        dofs = (9 * free_vertices[:, None] + np.arange(9)).reshape(-1)
+        A_ff = (1.0 + run.params.tau) * flow.K[dofs][:, dofs]
+        Z, _ = tangent_basis(y, free_vertices)
+        R = (Z.T @ (A_ff @ Z)).tocsc()
+        return spla.splu(R, permc_spec=spec, diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True)).nnz
+
+    ordered = fill(flow.free_vertices, "NATURAL")
+    assert ordered <= fill(flow.free_vertices, "MMD_AT_PLUS_A")
+    assert ordered <= fill(flow.dofmap.free_vertices, "MMD_AT_PLUS_A")
 
 
 def test_history_record_schema(oshape_l1_clamped):

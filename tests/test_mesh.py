@@ -57,6 +57,78 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.edges, b.edges)
 
 
+def loop_structured_cells(level, bounds, pattern, hole=None):
+    """Plain-loop reference of `mesh._structured_cells`: one cell at a time,
+    lexicographic in (x2, x1)."""
+    x0, x1, y0, y1 = bounds
+    h = 2.0 ** (-level)
+    nx, ny = round((x1 - x0) / h), round((y1 - y0) / h)
+
+    def in_hole(i, j):
+        if hole is None:
+            return False
+        hx0, hx1, hy0, hy1 = hole
+        cx0, cy0 = x0 + i * h, y0 + j * h
+        return (cx0 >= hx0 - 1e-12 and cx0 + h <= hx1 + 1e-12
+                and cy0 >= hy0 - 1e-12 and cy0 + h <= hy1 + 1e-12)
+
+    keep = [[not in_hole(i, j) for i in range(nx)] for j in range(ny)]
+    used = np.zeros((ny + 1, nx + 1), dtype=bool)
+    for j in range(ny):
+        for i in range(nx):
+            if keep[j][i]:
+                used[j:j + 2, i:i + 2] = True
+    index = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
+    coords = []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            if used[j, i]:
+                index[j, i] = len(coords)
+                coords.append((x0 + i * h, y0 + j * h))
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            if not keep[j][i]:
+                continue
+            a, b = index[j, i], index[j, i + 1]
+            c, d = index[j + 1, i + 1], index[j + 1, i]
+            if pattern == "nonsymmetric" or (i % 2) == (j % 2):
+                tris += [(a, b, c), (a, c, d)]
+            else:
+                tris += [(a, b, d), (b, c, d)]
+    return np.array(coords, dtype=np.float64), np.array(tris, dtype=np.int64)
+
+
+def loop_edge_data(triangles):
+    """Plain-loop reference of `edges`, `tri_edges` and `edge_triangles`: edges
+    as the lexicographically sorted rows (lo, hi), and the triangles of each
+    edge in the order of their local edge, then of their index."""
+    raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]])
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(3, len(triangles)).T
+    edge_triangles = np.full((len(edges), 2), -1, dtype=np.int64)
+    fill = np.zeros(len(edges), dtype=np.int64)
+    for local in range(3):
+        for t, e in enumerate(tri_edges[:, local]):
+            edge_triangles[e, fill[e]] = t
+            fill[e] += 1
+    return edges, tri_edges, edge_triangles
+
+
+@pytest.mark.parametrize("pattern", ["nonsymmetric", "symmetric"])
+@pytest.mark.parametrize("hole", [None, pm.OSHAPE_HOLE], ids=["rectangle", "oshape"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_generation_matches_loop_reference(level, hole, pattern):
+    v, t = pm._structured_cells(level, pm.RECTANGLE_BOUNDS, pattern, hole=hole)
+    v_ref, t_ref = loop_structured_cells(level, pm.RECTANGLE_BOUNDS, pattern, hole=hole)
+    assert v.dtype == v_ref.dtype and t.dtype == t_ref.dtype
+    assert v.tobytes() == v_ref.tobytes()   # bit-identical coordinates
+    assert np.array_equal(t, t_ref)
+    m = pm.build_edge_data(v, t)
+    for got, want in zip((m.edges, m.tri_edges, m.edge_triangles), loop_edge_data(t)):
+        assert np.array_equal(got, want)
+
+
 def test_counterclockwise_orientation():
     m = pm.generate_oshape_mesh(1, "symmetric")
     assert (m.triangle_areas > 0).all()
