@@ -3,11 +3,17 @@ isometry defect.
 
 Updates of the gradient flow live in the tangent space of the nodal isometry
 constraint: at every free vertex z the symmetric part of grad(w)^T grad(y)
-must vanish.  That is a 3x6 block C_z per free vertex, rows (11, 22, 12)
-acting only on the six nodal gradient dofs of that vertex.  Its kernel has a
-closed per-vertex basis, so the tangent space is spanned by a block-diagonal
-matrix Z: the identity on the three value dofs of each free vertex and a
-6x3 kernel block of C_z on its gradient dofs.
+must vanish.  With a1, a2 the columns of grad(y)(z) that is the 3x6 block
+
+    C_z grad(w) = (a1 . d1w,  a2 . d2w,  a2 . d1w + a1 . d2w)
+
+acting only on the six nodal gradient dofs of z.  Its kernel is the set of
+infinitesimal rotations of the nodal frame, grad(w) = (omega x a1, omega x a2)
+(Bartels, SIAM J. Numer. Anal. 51, 2013), three-dimensional whenever a1 and a2
+are independent.  Taking omega along a1, a2 and the normal n = a1 x a2 gives
+three mutually orthogonal directions, so the tangent space has a closed-form
+block-diagonal basis Z: the identity on the three value dofs of each free
+vertex and an orthonormal 6x3 kernel block of C_z on its gradient dofs.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dkt import DeformationField
 from .mesh import TriangleMesh
@@ -25,45 +30,55 @@ class ConstraintDegeneracyError(RuntimeError):
     """A per-vertex constraint block lost rank; the nodal gradients degenerated."""
 
 
-def constraint_blocks(field: DeformationField, free_vertices: np.ndarray) -> np.ndarray:
-    """Per-vertex constraint blocks C_z, shape (#free vertices, 3, 6).
+def tangent_basis(grads: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel blocks of the constraint blocks C_z, shape (n, 3, 2, 3).
 
-    Rows (11, 22, 12); columns the gradient dofs of the vertex in dof order
-    (d1 w_1, d2 w_1, d1 w_2, d2 w_2, d1 w_3, d2 w_3), so that C_z applied to
-    grad(w)(z) gives a1.d1w, a2.d2w and a2.d1w + a1.d2w, with (a1, a2) the
-    columns of grad(y)(z).
+    `grads` holds the nodal gradients (a1, a2) of n vertices, shape (n, 3, 2).
+    Entry [v, c, k, j] is the d_(k+1) w_c coefficient of the j-th kernel
+    direction of vertex v.  With nu = a1 x a2 / |a1 x a2|, the directions are
+    the rotations about a1, a2 and nu, normalized:
+
+        (nu, 0),   (0, nu),   (nu x a1, nu x a2) / sqrt(|a1|^2 + |a2|^2).
+
+    They are orthonormal and annihilated by C_z for any independent a1, a2,
+    and they depend smoothly on the gradients.
     """
-    g = field.gradients()[free_vertices]  # (n, 3 comps, 2)
-    blocks = np.zeros((len(free_vertices), 3, 3, 2))
-    blocks[:, 0, :, 0] = g[:, :, 0]
-    blocks[:, 1, :, 1] = g[:, :, 1]
-    blocks[:, 2] = g[:, :, ::-1]
-    return blocks.reshape(-1, 3, 6)
+    a1, a2 = grads[:, :, 0], grads[:, :, 1]
+    nu = np.cross(a1, a2)
+    nu /= np.sqrt((nu * nu).sum(axis=1))[:, None]
+    Q = np.zeros(grads.shape + (3,))
+    Q[:, :, 0, 0] = nu
+    Q[:, :, 1, 1] = nu
+    drill = 1.0 / np.sqrt((grads * grads).sum(axis=(1, 2)))
+    Q[:, :, 0, 2] = drill[:, None] * np.cross(nu, a1)
+    Q[:, :, 1, 2] = drill[:, None] * np.cross(nu, a2)
+    return Q
 
 
-def tangent_basis(field: DeformationField,
-                  free_vertices: np.ndarray) -> tuple[sp.csr_matrix, float]:
-    """Basis Z of the tangent space at `field` and the smallest singular value
-    over the constraint blocks.
+def smallest_singular_values(grads: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each constraint block C_z, shape (n,).
 
-    Z has shape (9 n, 6 n) for n free vertices; its rows follow the free dofs
-    (all nine dofs of each free vertex, in dof order) and its columns are, per
-    vertex, the three value dofs and then three kernel directions of C_z,
-    taken from the last three right singular vectors of the block.  The
-    columns of each vertex are orthonormal.
+    C_z C_z^T = [[p, 0, m], [0, q, m], [m, m, p + q]] with p = |a1|^2,
+    q = |a2|^2 and m = a1 . a2; its smallest eigenvalue comes from the
+    closed-form (trigonometric) solution of the symmetric 3x3 eigenproblem.
+    Where two eigenvalues nearly coincide, as at a near-isometric vertex
+    (eigenvalues close to 1, 1 and 2), that solution is accurate to about
+    sqrt(eps) times their size (1e-9 at level 3), which leaves a threshold
+    far below them unaffected.
     """
-    n = len(free_vertices)
-    _, s, vt = np.linalg.svd(constraint_blocks(field, free_vertices))
-    # rows of a vertex, per component: the value row holds a 1 in the
-    # component's value column, the d1 and d2 rows the kernel coefficients
-    data = np.ones((n, 3, 7))
-    data[:, :, 1:] = vt[:, 3:, :].transpose(0, 2, 1).reshape(n, 3, 6)
-    cols = np.array([[c, 3, 4, 5, 3, 4, 5] for c in range(3)])
-    indices = 6 * np.arange(n)[:, None, None] + cols
-    indptr = np.concatenate([[0], np.cumsum(np.tile([1, 3, 3], 3 * n))])
-    Z = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
-                      shape=(9 * n, 6 * n))
-    return Z, float(s[:, 2].min())
+    a1, a2 = grads[:, :, 0], grads[:, :, 1]
+    p = (a1 * a1).sum(axis=1)
+    q = (a2 * a2).sum(axis=1)
+    m = (a1 * a2).sum(axis=1)
+    mean = 2.0 * (p + q) / 3.0
+    d0, d1, d2 = p - mean, q - mean, p + q - mean
+    width = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 4.0 * m * m) / 6.0)
+    # det(C C^T - mean I) / (2 width^3), the cosine of three times the angle
+    det = d0 * d1 * d2 - (d0 + d1) * m * m
+    cos3 = np.divide(det, 2.0 * width**3, out=np.zeros_like(det), where=width > 0)
+    angle = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+    smallest = mean + 2.0 * width * np.cos(angle + 2.0 * np.pi / 3.0)
+    return np.sqrt(np.maximum(smallest, 0.0))
 
 
 def isometry_defect(field: DeformationField) -> float:

@@ -192,15 +192,16 @@ def penalty_pieces(s, height: float = 1.0):
 
 
 def penalty_energy(mesh: TriangleMesh, field: DeformationField, eps: float,
-                   height: float = 1.0) -> float:
+                   height: float = 1.0, masses: np.ndarray | None = None) -> float:
     """(1/2 eps) * lumped integral of (y3 - height)_+^2; zero iff no vertex
     exceeds the obstacle."""
     if not eps > 0:
         raise ValueError("penalty parameter eps must be positive")
+    if masses is None:
+        masses = vertex_lumped_masses(mesh)
     y3 = field.positions()[:, 2]
     over = np.maximum(y3 - height, 0.0)
-    m = vertex_lumped_masses(mesh)
-    return float((m * over**2).sum()) / (2.0 * eps)
+    return float((masses * over**2).sum()) / (2.0 * eps)
 
 
 def obstacle_penetration(mesh: TriangleMesh, field: DeformationField,
@@ -208,14 +209,6 @@ def obstacle_penetration(mesh: TriangleMesh, field: DeformationField,
     """Discrete max norm of (y3 - height)_+ over the vertices."""
     y3 = field.positions()[:, 2]
     return float(np.maximum(y3 - height, 0.0).max())
-
-
-def third_component_lumped_mass(mesh: TriangleMesh) -> sp.csr_matrix:
-    """Diagonal lumped mass acting on the third-component value dofs."""
-    m = vertex_lumped_masses(mesh)
-    diag = np.zeros(9 * mesh.num_vertices)
-    diag[6::9] = m  # dof (v, component 2, value)
-    return sp.diags(diag).tocsr()
 
 
 def penalty_rhs(mesh: TriangleMesh, field: DeformationField, eps: float,

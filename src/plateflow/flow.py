@@ -1,21 +1,24 @@
 """Semi-implicit discrete gradient flows for the constrained bending energy.
 
 Each pseudo-time step solves for the rate d_t y in the tangent space of the
-linearized nodal isometry constraint, d = Z u with Z the per-vertex kernel
-basis at the previous iterate (see `constraints.tangent_basis`):
+linearized nodal isometry constraint, d = Z u with Z the closed-form
+per-vertex rotation basis at the previous iterate (see
+`constraints.tangent_basis`):
 
     Z^T ((1 + tau) K (+ tau/eps M3)) Z u = Z^T (-K y + r_nl(y) + r_f (+ r_pen(y)))
 
 and updates y <- y + tau d.  K is the bending stiffness (assembled once), r_nl
 the explicitly treated spontaneous-curvature terms, and in obstacle mode
-M3/r_pen the implicit convex and explicit concave parts of the penalty.  The
-reduced matrix is symmetric positive definite, so a step is one sparse SPD
-solve (see `linsolve.tangent_solve`).  Its pattern is the same in every step,
-so the flow orders it once, at construction: the free vertices are numbered
-by `linsolve.vertex_elimination_order`, a minimum degree order of the mesh's
-vertex graph, and the free dofs, the rows of A_ff and those of Z follow that
-numbering.  The iteration stops when ||grad theta(d_t y)|| drops below
-eps_stop.
+M3/r_pen the implicit convex and explicit concave parts of the penalty (M3 the
+lumped mass on the third-component values).  The reduced matrix is symmetric
+positive definite, so a step is one sparse SPD solve.  Its pattern is the same
+in every step, so the flow builds it once, at construction, as a
+`linsolve.TangentSystem`: the element bending blocks summed per vertex pair,
+the fixed pattern of the reduced matrix and a minimum degree order of the
+mesh's vertex graph, which numbers the free vertices and the free dofs.  A
+step computes the basis, writes the blocks of the reduced matrix into that
+pattern and factors it.  The iteration stops when ||grad theta(d_t y)|| drops
+below eps_stop.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import energy as en
-from .constraints import (ConstraintDegeneracyError, constraint_blocks,
-                          isometry_defect, tangent_basis)
+from .constraints import (ConstraintDegeneracyError, isometry_defect,
+                          smallest_singular_values, tangent_basis)
 from .dkt import DeformationField, DktDofMap, element_operators, flat_embedding
 from .energy import SimulationParams
-from .linsolve import SaddleSolveError, tangent_solve, vertex_elimination_order
+from .linsolve import SaddleSolveError, TangentSystem
 from .mesh import TriangleMesh
 
 MIN_BLOCK_SINGULAR_VALUE = 1e-3
@@ -93,29 +96,19 @@ class RunReport:
         return self.energy + self.mismatch_constant
 
 
-def step_size_safeguard(params: SimulationParams, mesh: TriangleMesh,
-                        log_threshold: float = 1.0,
-                        coupling_threshold: float = 1.0) -> SimulationParams:
-    """Warn (never abort) when the step size looks too large.
+def step_size_safeguard(params: SimulationParams, mesh: TriangleMesh) -> SimulationParams:
+    """Warn (never abort) when tau * |log h_min| exceeds 1.
 
-    Checks tau * |log h_min| against `log_threshold`, and in penalized mode
-    with a constant body force tau against coupling_threshold * c_f * eps.
-    The sharp constants are unknown; these are empirical guidelines.
+    The sharp constant is unknown; this is an empirical guideline.  The
+    penalty needs no step-size condition: its convex-concave splitting keeps
+    the decay of the Lyapunov value unconditional.
     """
     stiff = params.tau * abs(np.log(mesh.h_min))
-    if stiff > log_threshold:
+    if stiff > 1.0:
         warnings.warn(
-            f"tau * |log h_min| = {stiff:.3g} exceeds {log_threshold:.3g}; "
-            "energy decay of the isometry flow is only guaranteed for smaller steps",
+            f"tau * |log h_min| = {stiff:.3g} exceeds 1; energy decay of the "
+            "isometry flow is only guaranteed for smaller steps",
             StepSizeWarning, stacklevel=2)
-    if params.penalized and params.f is not None and not callable(params.f):
-        cf = abs(float(np.asarray(params.f, dtype=np.float64).reshape(3)[2]))
-        if cf > 0 and params.tau > coupling_threshold * cf * params.eps_penalty:
-            warnings.warn(
-                f"tau = {params.tau:.3g} exceeds {coupling_threshold:.3g} * c_f * eps "
-                f"= {coupling_threshold * cf * params.eps_penalty:.3g}; the explicit and "
-                "implicit penalty parts may cancel inconsistently near the obstacle",
-                StepSizeWarning, stacklevel=2)
     return params
 
 
@@ -130,16 +123,17 @@ class GradientFlow:
         self.dofmap = DktDofMap.from_mesh(mesh)
         self.ops = element_operators(mesh)
         self.K = en.assemble_bending_stiffness(mesh, self.dofmap, self.ops)
-        # free vertices in elimination order; their nine dofs each, in turn
-        self.free_vertices = vertex_elimination_order(mesh.triangles,
-                                                      self.dofmap.free_vertices)
-        self.free = (9 * self.free_vertices[:, None] + np.arange(9)).reshape(-1)
-        A = (1.0 + params.tau) * self.K
+        # the step matrix (1 + tau) K_ff (+ tau/eps M3) in the tangent space
+        value_diagonal = None
         if params.penalized:
-            self.M3 = en.third_component_lumped_mass(mesh)
-            A = A + (params.tau / params.eps_penalty) * self.M3
             self._masses = en.vertex_lumped_masses(mesh)
-        self.A_ff = A[self.free][:, self.free].tocsc()
+            value_diagonal = np.zeros((mesh.num_vertices, 3))
+            value_diagonal[:, 2] = (params.tau / params.eps_penalty) * self._masses
+        self.system = TangentSystem(mesh.triangles, (1.0 + params.tau) * self.ops.bending,
+                                    self.dofmap.free_vertices, value_diagonal)
+        # free vertices in elimination order; their nine dofs each, in turn
+        self.free_vertices = self.system.vertices
+        self.free = (9 * self.free_vertices[:, None] + np.arange(9)).reshape(-1)
         self.force_rhs = en.force_rhs(mesh, params.f)
         self._rng = np.random.default_rng(0)
 
@@ -156,7 +150,7 @@ class GradientFlow:
         dpen = 0.0
         if self.params.penalized:
             pen = en.penalty_energy(self.mesh, y, self.params.eps_penalty,
-                                    self.params.obstacle_height)
+                                    self.params.obstacle_height, self._masses)
             dpen = en.obstacle_penetration(self.mesh, y, self.params.obstacle_height)
         return e, pen, dpen, Ky
 
@@ -172,13 +166,11 @@ class GradientFlow:
     # -- one pseudo-time step -------------------------------------------------
 
     def step(self, state: FlowState) -> FlowState:
-        return self._step(state, self.params.penalized)
-
-    def _step(self, state: FlowState, penalized: bool) -> FlowState:
         p = self.params
         y = state.y
 
-        Z, smin = tangent_basis(y, self.free_vertices)
+        g = y.gradients()[self.free_vertices]     # (n, 3, 2): columns a1, a2
+        smin = float(smallest_singular_values(g).min())
         if smin <= MIN_BLOCK_SINGULAR_VALUE:
             raise ConstraintDegeneracyError(
                 f"nodal constraint block degenerated (min singular value {smin:.3e}); "
@@ -189,17 +181,19 @@ class GradientFlow:
         if nl is None:
             nl = en.nonlinear_rhs(self.mesh, y, p.alpha, self.ops)
         rhs_full = -Ky + nl + self.force_rhs
-        if penalized:
+        if p.penalized:
             rhs_full = rhs_full + en.penalty_rhs(
                 self.mesh, y, p.eps_penalty, p.obstacle_height, self._masses)
 
-        d_f = tangent_solve(self.A_ff, Z, rhs_full[self.free])
+        d_f = self.system.solve(tangent_basis(g), rhs_full[self.free])
 
         d = np.zeros(self.dofmap.num_dofs)
         d[self.free] = d_f
         scale = max(float(np.abs(d_f).max(initial=0.0)), 1e-300)
-        grad_d = DeformationField(d).gradients()[self.free_vertices].reshape(-1, 6)
-        rows = np.einsum("nij,nj->ni", constraint_blocks(y, self.free_vertices), grad_d)
+        # the linearized constraint C_z grad(d) at each free vertex
+        a1, a2 = g[:, :, 0], g[:, :, 1]
+        d1, d2 = d_f.reshape(-1, 3, 3)[:, :, 1], d_f.reshape(-1, 3, 3)[:, :, 2]
+        rows = np.stack([a1 * d1, a2 * d2, a2 * d1 + a1 * d2]).sum(axis=2)
         residual = float(np.abs(rows).max(initial=0.0)) / scale
 
         Kd = self.K @ d

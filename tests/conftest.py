@@ -3,7 +3,6 @@ import pytest
 
 from plateflow import dkt, mesh as pm
 from plateflow.constraints import tangent_basis
-from plateflow.linsolve import tangent_solve
 
 EPS = np.finfo(np.float64).eps
 
@@ -68,6 +67,40 @@ def random_field(mesh, rng, scale=1.0, clamp=False):
 
 
 # ---------------------------------------------------------------------------
+# dense oracles of the tangent space
+
+GRAD_DOFS = np.array([1, 2, 4, 5, 7, 8])  # (d1 w_1, d2 w_1, d1 w_2, ..., d2 w_3)
+
+
+def constraint_blocks(field, free_vertices):
+    """Per-vertex constraint blocks C_z, shape (#free vertices, 3, 6).
+
+    Rows (11, 22, 12); columns the gradient dofs of the vertex in dof order
+    (d1 w_1, d2 w_1, d1 w_2, d2 w_2, d1 w_3, d2 w_3), so that C_z applied to
+    grad(w)(z) gives a1.d1w, a2.d2w and a2.d1w + a1.d2w, with (a1, a2) the
+    columns of grad(y)(z).
+    """
+    g = field.gradients()[free_vertices]  # (n, 3 comps, 2)
+    blocks = np.zeros((len(free_vertices), 3, 3, 2))
+    blocks[:, 0, :, 0] = g[:, :, 0]
+    blocks[:, 1, :, 1] = g[:, :, 1]
+    blocks[:, 2] = g[:, :, ::-1]
+    return blocks.reshape(-1, 3, 6)
+
+
+def dense_basis(Q):
+    """The tangent basis Z (9 n x 6 n) that the kernel blocks Q (n, 3, 2, 3)
+    describe: per vertex the identity on the three value dofs and Q on the
+    six gradient dofs."""
+    n = len(Q)
+    Z = np.zeros((9 * n, 6 * n))
+    for v in range(n):
+        Z[9 * v + np.array([0, 3, 6]), 6 * v + np.arange(3)] = 1.0
+        Z[np.ix_(9 * v + GRAD_DOFS, 6 * v + np.arange(3, 6))] = Q[v].reshape(6, 3)
+    return Z
+
+
+# ---------------------------------------------------------------------------
 # rounding scales of the flat state
 #
 # The flat map lies in the kernel of the bending form only in exact
@@ -105,8 +138,8 @@ def flat_update_rounding_scale(flow):
     """
     y = dkt.flat_embedding(flow.mesh)
     rho = residual_rounding_scale(flow.K, y)
-    Z, _ = tangent_basis(y, flow.free_vertices)
-    d_f = tangent_solve(flow.A_ff, Z, rho[flow.free])
+    Q = tangent_basis(y.gradients()[flow.free_vertices])
+    d_f = flow.system.solve(Q, rho[flow.free])
     K_ff = flow.K[flow.free][:, flow.free]
     return float(np.sqrt(d_f @ (K_ff @ d_f)))
 

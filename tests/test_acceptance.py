@@ -74,8 +74,7 @@ def penalized_l1_sweep():
         params = SimulationParams(alpha=0.0, tau=0.5 / 50, eps_stop=1e-3,
                                   eps_penalty=eps, f=(0.0, 0.0, 6.0e-3),
                                   mode="penalized_flow", max_iters=50000)
-        with pytest.warns(Warning):
-            out[eps] = run_flow(mesh, params)
+        out[eps] = run_flow(mesh, params)
     return out
 
 

@@ -1,40 +1,36 @@
 import numpy as np
+import pytest
 
 from plateflow import constraints as cn
 from plateflow.dkt import DeformationField, DktDofMap, flat_embedding, interpolate_dkt
 
-from conftest import cylinder_map, random_field
-
-
-GRAD_DOFS = np.array([1, 2, 4, 5, 7, 8])  # (d1 w_1, d2 w_1, d1 w_2, ..., d2 w_3)
-
-
-def vertex_block(Z, b):
-    """The 9x6 block of the tangent basis at the b-th free vertex."""
-    return Z[9 * b:9 * b + 9, 6 * b:6 * b + 6].toarray()
+from conftest import (GRAD_DOFS, constraint_blocks, cylinder_map, dense_basis,
+                      random_field)
 
 
 def test_flat_constraint_rows(rect_l2_clamped):
     m = rect_l2_clamped
     dm = DktDofMap.from_mesh(m)
     free = dm.free_vertices
-    Z, smin = cn.tangent_basis(flat_embedding(m), free)
-    assert Z.shape == (9 * len(free), 6 * len(free))
-    # block diagonal: every entry couples a vertex's dofs to its own columns
-    coo = Z.tocoo()
-    assert np.array_equal(coo.row // 9, coo.col // 6)
+    y = flat_embedding(m)
+    Q = cn.tangent_basis(y.gradients()[free])
+    assert Q.shape == (len(free), 3, 2, 3)
     # at a flat vertex the kernel reads d1w1 = 0, d2w2 = 0, d1w2 + d2w1 = 0:
     # it is spanned by d1w3, d2w3 and (d2w1 - d1w2) / sqrt(2)
     expected = np.zeros((6, 3))
     expected[4, 0] = expected[5, 1] = 1.0
     expected[1, 2], expected[2, 2] = np.sqrt(0.5), -np.sqrt(0.5)
     for b in (0, 5, len(free) - 1):
-        block = vertex_block(Z, b)
-        assert np.array_equal(block[[0, 3, 6], :3], np.eye(3))  # values pass through
-        assert not block[[0, 3, 6], 3:].any() and not block[GRAD_DOFS, :3].any()
-        kernel = block[GRAD_DOFS, 3:]
+        kernel = Q[b].reshape(6, 3)
         assert np.allclose(kernel @ kernel.T, expected @ expected.T, atol=1e-15)
-    assert np.isclose(smin, 1.0)
+    # the basis Z passes the values through and maps the kernel coefficients
+    # onto the gradient dofs only
+    Z = dense_basis(Q[:3])
+    for b in range(3):
+        block = Z[9 * b:9 * b + 9, 6 * b:6 * b + 6]
+        assert np.array_equal(block[[0, 3, 6], :3], np.eye(3))
+        assert not block[[0, 3, 6], 3:].any() and not block[GRAD_DOFS, :3].any()
+    assert np.isclose(cn.smallest_singular_values(y.gradients()[free]).min(), 1.0)
 
 
 def test_kernel_is_linearized_isometry(rect_l2_clamped):
@@ -46,7 +42,7 @@ def test_kernel_is_linearized_isometry(rect_l2_clamped):
     rng = np.random.default_rng(61)
     y = random_field(m, rng)
     w = random_field(m, rng)
-    blocks = cn.constraint_blocks(y, free)
+    blocks = constraint_blocks(y, free)
     gy = y.gradients()
     gw = w.gradients()
     res = np.einsum("nij,nj->ni", blocks, gw[free].reshape(-1, 6))
@@ -56,15 +52,18 @@ def test_kernel_is_linearized_isometry(rect_l2_clamped):
     assert np.allclose(res[:, 0], 0.5 * sym[free, 0, 0], atol=1e-12)
     assert np.allclose(res[:, 1], 0.5 * sym[free, 1, 1], atol=1e-12)
     assert np.allclose(res[:, 2], sym[free, 0, 1], atol=1e-12)
-    Z, _ = cn.tangent_basis(y, free)
+    Q = cn.tangent_basis(gy[free]).reshape(-1, 6, 3)
     for b in range(len(free)):
-        block = vertex_block(Z, b)
-        assert np.abs(blocks[b] @ block[GRAD_DOFS]).max() <= 1e-14 * np.abs(blocks[b]).max()
-        assert np.abs(block.T @ block - np.eye(6)).max() <= 1e-14
+        assert np.abs(blocks[b] @ Q[b]).max() <= 1e-14 * np.abs(blocks[b]).max()
+        assert np.abs(Q[b].T @ Q[b] - np.eye(3)).max() <= 1e-14
+    # the kernel is three-dimensional: Q spans all of it
+    assert (np.linalg.svd(blocks, compute_uv=False)[:, 2] > 0).all()
     # a field in the range of the basis keeps sym(grad w^T grad y) = 0
-    tangent = np.zeros(9 * m.num_vertices)
-    tangent[dm.free_indices] = Z @ rng.standard_normal(Z.shape[1])
-    gt = DeformationField(tangent).gradients()
+    coeffs = rng.standard_normal((len(free), 6))
+    tangent = np.zeros((m.num_vertices, 3, 3))
+    tangent[free, :, 0] = coeffs[:, :3]
+    tangent[free, :, 1:] = (Q @ coeffs[:, 3:, None]).reshape(-1, 3, 2)
+    gt = DeformationField(tangent.reshape(-1)).gradients()
     sym = np.einsum("vci,vcj->vij", gt, gy) + np.einsum("vci,vcj->vij", gy, gt)
     assert np.abs(sym[free]).max() <= 1e-12
 
@@ -85,7 +84,51 @@ def test_block_singular_values_near_isometry(rect_l2_clamped):
         dofs[:, :, 1] = a
         dofs[:, :, 2] = b
         field = DeformationField(dofs.reshape(-1))
-        assert cn.tangent_basis(field, free)[1] >= 0.5
+        assert cn.smallest_singular_values(field.gradients()[free]).min() >= 0.5
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_smallest_singular_values_match_svd(rect_l2_clamped, scale):
+    # the closed-form 3x3 eigenvalue agrees with an SVD of the blocks
+    m = rect_l2_clamped
+    free = DktDofMap.from_mesh(m).free_vertices
+    rng = np.random.default_rng(131)
+    for _ in range(5):
+        y = random_field(m, rng, scale=scale)
+        blocks = constraint_blocks(y, free)
+        reference = np.linalg.svd(blocks, compute_uv=False)[:, 2]
+        closed = cn.smallest_singular_values(y.gradients()[free])
+        assert np.abs(closed - reference).max() <= 1e-13 * np.abs(blocks).max()
+
+
+def test_smallest_singular_values_vanish_for_parallel_columns():
+    rng = np.random.default_rng(137)
+    g = rng.standard_normal((50, 3, 2))
+    g[:, :, 1] = g[:, :, 0]
+    norm = np.abs(g).max(axis=(1, 2))
+    # the eigenvalue is zero up to its rounding, eps |C|^2; sigma its root
+    assert (cn.smallest_singular_values(g) <= 1e-7 * norm).all()
+    assert (cn.smallest_singular_values(np.zeros((3, 3, 2))) == 0.0).all()
+
+
+def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
+    # the rotation basis moves by O(t) when the field moves by t v, also from
+    # the flat state where the flow starts; a basis read off an SVD of the
+    # blocks there rotates inside the kernel by O(1) (measured: a change of
+    # 1.4 at t = 1e-6), since the kernel's singular values all vanish
+    m = rect_l2_clamped
+    free = DktDofMap.from_mesh(m).free_vertices
+    rng = np.random.default_rng(139)
+    v = random_field(m, rng)
+    for y in (flat_embedding(m), random_field(m, rng)):
+        Q0 = cn.tangent_basis(y.gradients()[free])
+        ratios = []
+        for t in (1e-2, 1e-4, 1e-6):
+            Qt = cn.tangent_basis((y.dofs + t * v.dofs).reshape(-1, 3, 3)[free, :, 1:])
+            ratios.append(np.abs(Qt - Q0).max() / t)
+        assert max(ratios) <= 2 * min(ratios)
+        # the difference quotients converge, to the derivative of the basis
+        assert abs(ratios[2] - ratios[1]) <= 1e-2 * ratios[1]
 
 
 def test_isometry_defect_values(rect_l2):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from plateflow import linsolve
-from plateflow.constraints import constraint_blocks, tangent_basis
-from plateflow.dkt import DeformationField
-from plateflow.linsolve import SaddleSolveError, tangent_solve
+from plateflow.constraints import tangent_basis
+from plateflow.linsolve import SaddleSolveError, TangentSystem
+
+from conftest import GRAD_DOFS, dense_basis
 
 
 def dense_kkt_oracle(A, B, rhs):
@@ -20,41 +20,103 @@ def dense_kkt_oracle(A, B, rhs):
     return x[:n], x[n:]
 
 
-def random_spd(rng, n):
-    Q = rng.standard_normal((n, n))
-    return Q @ Q.T + n * np.eye(n)
+def strip_triangles(rng, num_vertices):
+    """Triangles (v, v+1, v+2) along a strip, plus a few random ones."""
+    strip = np.arange(num_vertices - 2)[:, None] + np.arange(3)
+    extra = np.array([rng.choice(num_vertices, 3, replace=False) for _ in range(3)])
+    return np.vstack([strip, extra])
 
 
-def vertex_constraints(rng, num_vertices):
-    """Tangent basis and global constraint matrix of a random field whose
-    vertices are all free: B holds the per-vertex 3x6 blocks on the gradient
-    dofs, Z spans its kernel."""
-    field = DeformationField(rng.standard_normal(9 * num_vertices))
-    free = np.arange(num_vertices)
-    Z, _ = tangent_basis(field, free)
-    blocks = constraint_blocks(field, free)
-    B = np.zeros((3 * num_vertices, 9 * num_vertices))
-    grad_dofs = np.array([1, 2, 4, 5, 7, 8])
-    for v in free:
-        B[3 * v:3 * v + 3, 9 * v + grad_dofs] = blocks[v]
-    return Z, B
+def random_element_matrices(rng, num_triangles):
+    X = rng.standard_normal((num_triangles, 9, 9))
+    return X @ X.transpose(0, 2, 1) + 9.0 * np.eye(9)
+
+
+def dense_matrix(system, triangles, element_matrices, value_diagonal=None):
+    """The dense A that a TangentSystem describes, on the nine dofs of each of
+    its vertices in its order: kron(I_3, element blocks) summed over the
+    triangles, plus the value diagonal."""
+    num_vertices = triangles.max() + 1
+    A = np.zeros((9 * num_vertices, 9 * num_vertices))
+    for tri, E in zip(triangles, element_matrices):
+        for p in range(3):
+            for q in range(3):
+                for c in range(3):
+                    rows = 9 * tri[p] + 3 * c + np.arange(3)
+                    cols = 9 * tri[q] + 3 * c + np.arange(3)
+                    A[np.ix_(rows, cols)] += E[3 * p:3 * p + 3, 3 * q:3 * q + 3]
+    if value_diagonal is not None:
+        values = 9 * np.arange(num_vertices)[:, None] + 3 * np.arange(3)
+        A[values, values] += value_diagonal
+    dofs = (9 * system.vertices[:, None] + np.arange(9)).reshape(-1)
+    return A[np.ix_(dofs, dofs)]
+
+
+def constraint_matrix(grads):
+    """Global constraint rows B (3 n x 9 n): per vertex the 3x6 block on its
+    gradient dofs, (a1.d1w, a2.d2w, a2.d1w + a1.d2w)."""
+    n = len(grads)
+    B = np.zeros((3 * n, 9 * n))
+    for v, g in enumerate(grads):
+        block = np.zeros((3, 3, 2))
+        block[0, :, 0] = g[:, 0]
+        block[1, :, 1] = g[:, 1]
+        block[2] = g[:, ::-1]
+        B[3 * v:3 * v + 3, 9 * v + GRAD_DOFS] = block.reshape(3, 6)
+    return B
+
+
+def random_case(rng, num_vertices, scale=1.0, value_diagonal=None):
+    """A system on random triangles whose vertex 0 is not free, the dense A it
+    describes, and the kernel blocks and constraint rows of random gradients."""
+    triangles = strip_triangles(rng, num_vertices)
+    E = scale * random_element_matrices(rng, len(triangles))
+    system = TangentSystem(triangles, E, np.arange(1, num_vertices), value_diagonal)
+    A = dense_matrix(system, triangles, E, value_diagonal)
+    grads = rng.standard_normal((num_vertices - 1, 3, 2))
+    return system, A, tangent_basis(grads), constraint_matrix(grads)
+
+
+def test_blockwise_matrix_matches_dense_product():
+    # R = Z^T A Z, assembled blockwise into the fixed pattern, with and
+    # without a diagonal on the value dofs
+    rng = np.random.default_rng(79)
+    diagonal = np.abs(rng.standard_normal((7, 3)))
+    for value_diagonal in (None, diagonal):
+        system, A, Q, _ = random_case(rng, 7, value_diagonal=value_diagonal)
+        system.assemble(Q)
+        Z = dense_basis(Q)
+        expected = Z.T @ A @ Z
+        assert np.abs(system.R.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
+        # 30 stored entries per vertex pair: the value-value off-diagonals are not
+        coo = system.R.tocoo()
+        pairs = np.unique(coo.row // 6 * len(Q) + coo.col // 6)
+        assert system.R.nnz == 30 * len(pairs)
+        assert system.R.has_canonical_format
 
 
 def test_unconstrained_identity():
-    A = sp.identity(4, format="csc")
-    rhs = np.zeros(4)
-    rhs[0] = 1.0
-    d = tangent_solve(A, sp.identity(4, format="csr"), rhs)
-    assert np.allclose(d, rhs)
+    # with A = I and a right-hand side in the tangent space the step returns
+    # the right-hand side itself
+    rng = np.random.default_rng(83)
+    triangles = strip_triangles(rng, 6)
+    counts = np.bincount(triangles.reshape(-1), minlength=6)
+    E = np.zeros((len(triangles), 9, 9))
+    for f, tri in enumerate(triangles):
+        E[f] = np.diag(np.repeat(1.0 / counts[tri], 3))
+    system = TangentSystem(triangles, E, np.arange(6))
+    assert np.allclose(dense_matrix(system, triangles, E), np.eye(54), atol=1e-15)
+    Q = tangent_basis(rng.standard_normal((6, 3, 2)))
+    rhs = dense_basis(Q) @ rng.standard_normal(36)
+    assert np.allclose(system.solve(Q, rhs), rhs)
 
 
 def test_random_spd_with_constraints_matches_dense_oracle():
     rng = np.random.default_rng(83)
-    Z, B = vertex_constraints(rng, 5)
-    n = B.shape[1]
-    A = random_spd(rng, n)
+    system, A, Q, B = random_case(rng, 6)
+    n = A.shape[0]
     rhs = rng.standard_normal(n)
-    d = tangent_solve(sp.csc_matrix(A), Z, rhs)
+    d = system.solve(Q, rhs)
     d0, _ = dense_kkt_oracle(A, B, np.concatenate([rhs, np.zeros(B.shape[0])]))
     assert np.abs(d - d0).max() < 1e-10
     # constraint blocks satisfied
@@ -62,32 +124,43 @@ def test_random_spd_with_constraints_matches_dense_oracle():
 
 
 def test_singular_direction_removed_by_constraint():
-    # A = diag(1, 1, 0) is singular, but the basis excludes the null direction
-    A = sp.diags([1.0, 1.0, 0.0]).tocsc()
-    Z = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    rhs = np.array([2.0, -1.0, 0.5])
-    d = tangent_solve(A, Z, rhs)
-    d0, lam0 = dense_kkt_oracle(A.toarray(), np.array([[0.0, 0.0, 1.0]]),
-                                np.concatenate([rhs, [0.0]]))
+    # A has no stiffness on any d2 dof, so it is singular, but the basis
+    # spans only the values and the d1 dofs: the d2 dofs stay exactly zero and
+    # the oracle's multipliers carry their loads
+    rng = np.random.default_rng(89)
+    triangles = strip_triangles(rng, 5)
+    E = random_element_matrices(rng, len(triangles))
+    d2 = np.arange(2, 9, 3)
+    E[:, d2, :] = 0.0
+    E[:, :, d2] = 0.0
+    system = TangentSystem(triangles, E, np.arange(5))
+    A = dense_matrix(system, triangles, E)
+    assert np.linalg.matrix_rank(A) == 30
+    Q = np.zeros((5, 3, 2, 3))
+    Q[:, :, 0, :] = np.eye(3)
+    rhs = rng.standard_normal(45)
+    d = system.solve(Q, rhs)
+    d2_dofs = (9 * np.arange(5)[:, None] + 3 * np.arange(3) + 2).reshape(-1)
+    B = np.eye(45)[d2_dofs]
+    d0, lam0 = dense_kkt_oracle(A, B, np.concatenate([rhs, np.zeros(15)]))
     assert np.allclose(d, d0)
-    assert d[2] == 0.0
-    assert np.isclose(lam0[0], 0.5)  # the oracle's multiplier carries the forced load
+    assert not d[d2_dofs].any()
+    assert np.allclose(lam0, rhs[d2_dofs])
 
 
 def test_residual_contract():
     # normwise backward error of the reduced system, invariant to its scale
-    rng = np.random.default_rng(89)
-    Z, _ = vertex_constraints(rng, 8)
-    n = Z.shape[0]
-    A = sp.csc_matrix(random_spd(rng, n))
-    rhs = rng.standard_normal(n)
     for scale in (1.0, 1e-12, 1e12):
-        d = tangent_solve(scale * A, Z, rhs)
-        R = Z.T @ (scale * A) @ Z
+        rng = np.random.default_rng(89)
+        system, A, Q, _ = random_case(rng, 9, scale=scale)
+        rhs = rng.standard_normal(A.shape[0])
+        d = system.solve(Q, rhs)
+        Z = dense_basis(Q)
+        R = Z.T @ A @ Z
         u = Z.T @ d
         b = Z.T @ rhs
         err = np.abs(R @ u - b).max() / (
-            abs(R).sum(axis=1).max() * np.abs(u).max() + np.abs(b).max())
+            np.abs(R).sum(axis=1).max() * np.abs(u).max() + np.abs(b).max())
         assert err <= linsolve.BACKWARD_ERROR_TOL
 
 
@@ -95,10 +168,8 @@ def test_corrupted_factorization_rejected(monkeypatch):
     # a factorization of a perturbed matrix misses the contract even after
     # the refinement step, and the solve must refuse its answer
     rng = np.random.default_rng(113)
-    Z, _ = vertex_constraints(rng, 6)
-    n = Z.shape[0]
-    A = sp.csc_matrix(random_spd(rng, n))
-    rhs = rng.standard_normal(n)
+    system, A, Q, _ = random_case(rng, 7)
+    rhs = rng.standard_normal(A.shape[0])
     genuine = linsolve.spla
 
     class CorruptedSpla:
@@ -107,49 +178,53 @@ def test_corrupted_factorization_rejected(monkeypatch):
 
         @staticmethod
         def splu(R, **kwargs):
-            perturbed = R + 1e-3 * abs(R).max() * sp.identity(R.shape[0])
+            perturbed = R + 1e-3 * abs(R).max() * linsolve.sp.identity(R.shape[0])
             return genuine.splu(perturbed.tocsc(), **kwargs)
 
     monkeypatch.setattr(linsolve, "spla", CorruptedSpla())
     with pytest.raises(SaddleSolveError):
-        tangent_solve(A, Z, rhs)
+        system.solve(Q, rhs)
 
 
 def test_basis_invariance():
     # re-signed or rotated kernel directions span the same space: same d
     rng = np.random.default_rng(97)
-    num_vertices = 4
-    Z, _ = vertex_constraints(rng, num_vertices)
-    n = Z.shape[0]
-    A = sp.csc_matrix(random_spd(rng, n))
-    rhs = rng.standard_normal(n)
-    d1 = tangent_solve(A, Z, rhs)
-    blocks = []
-    for _ in range(num_vertices):
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        blocks.append(Q * rng.choice([-1.0, 1.0], size=6))
-    d2 = tangent_solve(A, Z @ sp.block_diag(blocks, format="csr"), rhs)
+    system, A, Q, _ = random_case(rng, 5)
+    rhs = rng.standard_normal(A.shape[0])
+    d1 = system.solve(Q, rhs)
+    rotations = []
+    for _ in range(len(Q)):
+        O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotations.append(O * rng.choice([-1.0, 1.0], size=3))
+    d2 = system.solve(Q @ np.array(rotations)[:, None], rhs)
     assert np.abs(d1 - d2).max() < 1e-10 * np.abs(d1).max()
 
 
 def test_deterministic_resolve():
     rng = np.random.default_rng(101)
-    Z, _ = vertex_constraints(rng, 5)
-    n = Z.shape[0]
-    A = sp.csc_matrix(random_spd(rng, n))
-    rhs = rng.standard_normal(n)
-    d1 = tangent_solve(A, Z, rhs)
-    d2 = tangent_solve(A.copy(), Z.copy(), rhs.copy())
-    assert np.array_equal(d1, d2)
+    triangles = strip_triangles(rng, 6)
+    E = random_element_matrices(rng, len(triangles))
+    Q = tangent_basis(rng.standard_normal((5, 3, 2)))
+    rhs = rng.standard_normal(45)
+    first = TangentSystem(triangles, E, np.arange(1, 6))
+    second = TangentSystem(triangles.copy(), E.copy(), np.arange(1, 6))
+    d1 = first.solve(Q, rhs)
+    assert np.array_equal(d1, first.solve(Q.copy(), rhs.copy()))
+    assert np.array_equal(d1, second.solve(Q.copy(), rhs.copy()))
 
 
 def test_singular_system_raises():
-    A = sp.csc_matrix((3, 3))  # zero matrix, no constraints
+    rng = np.random.default_rng(103)
+    triangles = strip_triangles(rng, 4)
+    system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
     with pytest.raises(SaddleSolveError):
-        tangent_solve(A, sp.identity(3, format="csr"), np.ones(3))
+        system.solve(tangent_basis(rng.standard_normal((4, 3, 2))), np.ones(36))
 
 
 def test_shape_mismatch_raises():
-    A = sp.identity(3, format="csc")
+    rng = np.random.default_rng(107)
+    system, A, Q, _ = random_case(rng, 4)
     with pytest.raises(ValueError):
-        tangent_solve(A, sp.identity(3, format="csr"), np.ones(5))
+        system.solve(Q, np.ones(A.shape[0] + 2))
+    with pytest.raises(ValueError):
+        system.solve(Q[:-1], np.ones(A.shape[0]))
