@@ -7,11 +7,11 @@ linearization of the isometry constraint, and obstacles enter through a
 convex-concave penalty.
 """
 
-from .constraints import (apply_dirichlet, identity_boundary_data,
-                          isometry_defect, smallest_singular_values, tangent_basis)
+from .constraints import (apply_dirichlet, identity_boundary_data, isometry_defect,
+                          tangent_basis)
 from .dkt import (DeformationField, DktDofMap, flat_embedding, interpolate_dkt)
-from .energy import (SimulationParams, assemble_bending_stiffness,
-                     penalty_energy, penalty_pieces, total_energy)
+from .energy import (SimulationParams, assemble_bending_stiffness, curvature_terms,
+                     penalty_terms, total_energy)
 from .flow import GradientFlow, RunReport, run_flow, step_size_safeguard
 from .linsolve import TangentSystem
 from .mesh import (TriangleMesh, build_edge_data, generate_oshape_mesh,
@@ -25,9 +25,9 @@ __all__ = [
     "DeformationField", "DktDofMap", "GradientFlow", "PRESETS", "RunConfig",
     "RunReport", "SimulationParams", "TangentSystem", "TriangleMesh",
     "apply_dirichlet", "assemble_bending_stiffness", "build_edge_data",
-    "flat_embedding", "generate_oshape_mesh", "generate_rectangle_mesh",
-    "identity_boundary_data", "interpolate_dkt", "isometry_defect", "load_mesh",
-    "penalty_energy", "penalty_pieces", "resolve", "run_flow", "save_mesh",
-    "smallest_singular_values", "step_size_safeguard", "tag_dirichlet_boundary",
-    "tangent_basis", "total_energy",
+    "curvature_terms", "flat_embedding", "generate_oshape_mesh",
+    "generate_rectangle_mesh", "identity_boundary_data", "interpolate_dkt",
+    "isometry_defect", "load_mesh", "penalty_terms", "resolve", "run_flow",
+    "save_mesh", "step_size_safeguard", "tag_dirichlet_boundary", "tangent_basis",
+    "total_energy",
 ]

@@ -122,6 +122,8 @@ def run_experiment(config: RunConfig, quiet: bool = False) -> int:
         print(f"{config.experiment}: {report.iterations} iterations "
               f"({report.termination_reason}), energy {report.energy:.6g}, "
               f"delta_iso {report.delta_iso:.4g}, delta_pen {report.delta_pen:.4g}")
+        if report.termination_detail:
+            print(report.termination_detail)
         print(f"outputs in {out}")
     return 0 if report.termination_reason in ("converged", "max_iters") else 1
 

@@ -19,8 +19,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from .constraints import cross
 from .dkt import (DeformationField, DktDofMap, ElementOperators, element_operators,
-                  local_scalar_dofs, lumped_p1_integral, vertex_lumped_masses)
+                  local_scalar_dofs, vertex_lumped_masses)
 from .mesh import TriangleMesh
 
 MODES = ("isometry_flow", "penalized_flow")
@@ -92,52 +93,40 @@ def assemble_bending_stiffness(mesh: TriangleMesh, dofmap: DktDofMap | None = No
     return K.tocsr()
 
 
-def nodal_normals(field: DeformationField) -> np.ndarray:
-    """d1 y x d2 y at each vertex, shape (V, 3)."""
-    g = field.gradients()
-    return np.cross(g[:, :, 0], g[:, :, 1])
+def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
+                    ops: ElementOperators | None = None):
+    """The spontaneous-curvature term alpha * L{ lap_h(y) . (d1 y x d2 y) },
+    which enters the energy with a minus sign, and its assembled derivative r,
+    in one pass: the element Laplacians and the nodal normals are computed
+    once and serve both.
 
-
-def nonlinear_energy_term(mesh: TriangleMesh, field: DeformationField, alpha: float,
-                          ops: ElementOperators | None = None) -> float:
-    """alpha * L{ lap_h(y) . (d1 y x d2 y) }; enters the energy with a minus sign."""
-    if ops is None:
-        ops = element_operators(mesh)
-    loc = local_scalar_dofs(mesh, field)
-    lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)       # (F, 3v, 3c)
-    nu = nodal_normals(field)[mesh.triangles]                  # (F, 3v, 3c)
-    return alpha * lumped_p1_integral(mesh, np.einsum("fpc,fpc->fp", lap, nu))
-
-
-def nonlinear_rhs(mesh: TriangleMesh, field: DeformationField, alpha: float,
-                  ops: ElementOperators | None = None) -> np.ndarray:
-    """Assembled linear functional r with r . w equal to the Gateaux derivative
-    of nonlinear_energy_term at `field`; the sum of the three lumped terms in
-    which the test function enters the Laplacian, d1, and d2 slots in turn."""
+    r . w is the Gateaux derivative in the direction w: the sum of the three
+    lumped terms in which w enters the Laplacian, d1, and d2 slots in turn.
+    The term is cubic in y, so r . y is three times its value.
+    """
     if ops is None:
         ops = element_operators(mesh)
     tri = mesh.triangles
-    w = ops.areas / 3.0
     g = field.gradients()
-    a1 = g[:, :, 0][tri]                                       # (F, 3v, 3c)
-    a2 = g[:, :, 1][tri]
-    nu = np.cross(a1, a2)
-    loc = local_scalar_dofs(mesh, field)
-    lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)
+    a1, a2 = g[:, :, 0][tri], g[:, :, 1][tri]                 # (F, 3v, 3c)
+    nu = cross(g[:, :, 0], g[:, :, 1])[tri]
+    loc = field.dofs[ops.scalar_dof_indices]                  # (F, 3c, 9)
+    lap = np.matmul(ops.divergence, loc.transpose(0, 2, 1))   # (F, 3v, 3c)
+    weight = alpha * ops.areas / 3.0
+    value = float(weight @ (lap * nu).sum(axis=(1, 2)))
 
-    r = np.zeros(9 * mesh.num_vertices)
-    # term 1: test function inside the discrete Laplacian
-    contrib = alpha * np.einsum("f,fpc,fpl->fcl", w, nu, ops.divergence)
-    np.add.at(r, ops.scalar_dof_indices.reshape(-1), contrib.reshape(-1))
+    # term 1: test function inside the discrete Laplacian, (F, 3c, 9)
+    r = np.matmul((weight[:, None, None] * nu).transpose(0, 2, 1), ops.divergence)
     # terms 2 and 3: test function inside the cross product; contributions land
     # on the nodal gradient dofs.  l.(d1w x a2) = d1w.(a2 x l),
     # l.(a1 x d2w) = d2w.(l x a1)
-    c1 = alpha * w[:, None, None] * np.cross(a2, lap)          # -> (vertex, c, kind=1)
-    c2 = alpha * w[:, None, None] * np.cross(lap, a1)          # -> (vertex, c, kind=2)
-    base = (9 * tri[:, :, None] + 3 * np.arange(3)[None, None, :])
-    np.add.at(r, (base + 1).reshape(-1), c1.reshape(-1))
-    np.add.at(r, (base + 2).reshape(-1), c2.reshape(-1))
-    return r
+    wlap = weight[:, None, None] * lap
+    by_kind = r.reshape(-1, 3, 3, 3)                           # (F, 3c, 3v, kind)
+    by_kind[:, :, :, 1] += cross(a2, wlap).transpose(0, 2, 1)
+    by_kind[:, :, :, 2] += cross(wlap, a1).transpose(0, 2, 1)
+    rhs = np.bincount(ops.scalar_dof_indices.reshape(-1), weights=r.reshape(-1),
+                      minlength=field.dofs.size)
+    return value, rhs
 
 
 def force_rhs(mesh: TriangleMesh, f: ForceLike) -> np.ndarray:
@@ -167,7 +156,7 @@ def total_energy(mesh: TriangleMesh, field: DeformationField, params: Simulation
             ops = element_operators(mesh)
         loc = local_scalar_dofs(mesh, field)
         bend = 0.5 * float(np.einsum("fcl,flm,fcm->", loc, ops.bending, loc))
-    e = bend - nonlinear_energy_term(mesh, field, params.alpha, ops=ops)
+    e = bend - curvature_terms(mesh, field, params.alpha, ops)[0]
     if params.f is not None:
         e -= float(force_rhs(mesh, params.f) @ field.dofs)
     return e
@@ -176,49 +165,18 @@ def total_energy(mesh: TriangleMesh, field: DeformationField, params: Simulation
 # ---------------------------------------------------------------------------
 # obstacle penalty
 
-def penalty_pieces(s, height: float = 1.0):
-    """Concave part P of the splitting (s-g)_+^2 = s^2 + P(s) and p = P'.
+def penalty_terms(y3: np.ndarray, eps: float, masses: np.ndarray, height: float = 1.0):
+    """The obstacle penalty at the heights y3 of the vertices, from one pass.
 
-    For the unit obstacle: P(s) = -2s+1 for s > 1 and -s^2 for s <= 1;
-    p(s) = -2 for s > 1 and -2s for s <= 1 (continuous, nonincreasing).
+    Returns the energy (1/2 eps) L{ (y3 - height)_+^2 }, the penetration
+    max (y3 - height)_+, and the explicit penalty terms of the penalized flow
+    on the y3 values.  The integrand splits as (s - g)_+^2 = s^2 + P(s) into a
+    convex and a concave part, with p = P' = -2g above the obstacle and -2s
+    below; the explicit terms -(1/eps) M y3 - (1/2 eps) M p(y3) are therefore
+    -(1/eps) M (y3 - height)_+, which vanish exactly where y3 <= height.
     """
-    s = np.asarray(s, dtype=np.float64)
-    above = s > height
-    P = np.where(above, -2.0 * height * s + height**2, -s * s)
-    p = np.where(above, -2.0 * height, -2.0 * s)
-    if P.ndim == 0:
-        return float(P), float(p)
-    return P, p
-
-
-def penalty_energy(mesh: TriangleMesh, field: DeformationField, eps: float,
-                   height: float = 1.0, masses: np.ndarray | None = None) -> float:
-    """(1/2 eps) * lumped integral of (y3 - height)_+^2; zero iff no vertex
-    exceeds the obstacle."""
     if not eps > 0:
         raise ValueError("penalty parameter eps must be positive")
-    if masses is None:
-        masses = vertex_lumped_masses(mesh)
-    y3 = field.positions()[:, 2]
     over = np.maximum(y3 - height, 0.0)
-    return float((masses * over**2).sum()) / (2.0 * eps)
-
-
-def obstacle_penetration(mesh: TriangleMesh, field: DeformationField,
-                         height: float = 1.0) -> float:
-    """Discrete max norm of (y3 - height)_+ over the vertices."""
-    y3 = field.positions()[:, 2]
-    return float(np.maximum(y3 - height, 0.0).max())
-
-
-def penalty_rhs(mesh: TriangleMesh, field: DeformationField, eps: float,
-                height: float = 1.0, masses: np.ndarray | None = None) -> np.ndarray:
-    """Explicit penalty terms of the penalized flow at the previous iterate:
-    -(1/eps) M y3 - (1/2 eps) M p(y3).  Cancels exactly where y3 <= height."""
-    if masses is None:
-        masses = vertex_lumped_masses(mesh)
-    y3 = field.positions()[:, 2]
-    _, p = penalty_pieces(y3, height)
-    r = np.zeros((mesh.num_vertices, 3, 3))
-    r[:, 2, 0] = -(masses / eps) * (y3 + 0.5 * p)
-    return r.reshape(-1)
+    return (float((masses * over**2).sum()) / (2.0 * eps), float(over.max()),
+            -(masses / eps) * over)

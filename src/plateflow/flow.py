@@ -16,9 +16,11 @@ in every step, so the flow builds it once, at construction, as a
 `linsolve.TangentSystem`: the element bending blocks summed per vertex pair,
 the fixed pattern of the reduced matrix and a minimum degree order of the
 mesh's vertex graph, which numbers the free vertices and the free dofs.  A
-step computes the basis, writes the blocks of the reduced matrix into that
-pattern and factors it.  The iteration stops when ||grad theta(d_t y)|| drops
-below eps_stop.
+step computes the basis and the degeneracy check in one pass over the nodal
+frames, gathers the blocks of the reduced matrix into that pattern and
+factors it.  The new iterate is then evaluated once (`GradientFlow._evaluate`):
+its energies, and r_nl + r_pen, which the next step takes as its explicit
+data.  The iteration stops when ||grad theta(d_t y)|| drops below eps_stop.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import energy as en
-from .constraints import (ConstraintDegeneracyError, isometry_defect,
-                          smallest_singular_values, tangent_basis)
+from .constraints import ConstraintDegeneracyError, isometry_defect, tangent_basis
 from .dkt import DeformationField, DktDofMap, element_operators, flat_embedding
 from .energy import SimulationParams
 from .linsolve import SaddleSolveError, TangentSystem
@@ -67,9 +68,10 @@ class FlowState:
     update_norm: float
     history: list = dataclass_field(default_factory=list)
     constraint_residual: float = 0.0
-    # cached assemblies at y, reused as the explicit data of the next step
+    # cached at y, reused as the explicit data of the next step: K y and the
+    # explicit right-hand side r_nl(y) (+ r_pen(y))
     Ky: Optional[np.ndarray] = None
-    nl_rhs: Optional[np.ndarray] = None
+    explicit_rhs: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -85,6 +87,7 @@ class RunReport:
     initial_energy: float
     wall_time: float
     mismatch_constant: float = 0.0   # alpha^2 |omega|, not part of E
+    termination_detail: str = ""     # the solver or degeneracy error message
 
     @property
     def converged(self) -> bool:
@@ -115,11 +118,9 @@ def step_size_safeguard(params: SimulationParams, mesh: TriangleMesh) -> Simulat
 class GradientFlow:
     """Assembled operators of one flow configuration, stepped sequentially."""
 
-    def __init__(self, mesh: TriangleMesh, params: SimulationParams,
-                 debug_checks: bool = False):
+    def __init__(self, mesh: TriangleMesh, params: SimulationParams):
         self.mesh = mesh
         self.params = step_size_safeguard(params, mesh)
-        self.debug_checks = debug_checks
         self.dofmap = DktDofMap.from_mesh(mesh)
         self.ops = element_operators(mesh)
         self.K = en.assemble_bending_stiffness(mesh, self.dofmap, self.ops)
@@ -135,33 +136,42 @@ class GradientFlow:
         self.free_vertices = self.system.vertices
         self.free = (9 * self.free_vertices[:, None] + np.arange(9)).reshape(-1)
         self.force_rhs = en.force_rhs(mesh, params.f)
-        self._rng = np.random.default_rng(0)
 
     # -- state bookkeeping ---------------------------------------------------
 
-    def _energies(self, y: DeformationField, Ky=None):
-        if Ky is None:
-            Ky = self.K @ y.dofs
-        bend = 0.5 * float(y.dofs @ Ky)
-        e = bend - en.nonlinear_energy_term(self.mesh, y, self.params.alpha, self.ops)
-        if self.params.f is not None:
+    def _evaluate(self, y: DeformationField, Ky: np.ndarray):
+        """Everything a step needs of the iterate y, from one pass over it.
+
+        Returns (E, penalty energy, penetration, explicit rhs): E from the
+        cached K y, the spontaneous-curvature term and the force; the explicit
+        rhs r_nl(y) (+ r_pen(y)) of the step from y.  For alpha = 0 the
+        curvature terms vanish identically and are not evaluated.
+        """
+        p = self.params
+        e = 0.5 * float(y.dofs @ Ky)
+        if p.alpha:
+            curvature, rhs = en.curvature_terms(self.mesh, y, p.alpha, self.ops)
+            e -= curvature
+        else:
+            rhs = np.zeros(y.dofs.size)
+        if p.f is not None:
             e -= float(self.force_rhs @ y.dofs)
-        pen = 0.0
-        dpen = 0.0
-        if self.params.penalized:
-            pen = en.penalty_energy(self.mesh, y, self.params.eps_penalty,
-                                    self.params.obstacle_height, self._masses)
-            dpen = en.obstacle_penetration(self.mesh, y, self.params.obstacle_height)
-        return e, pen, dpen, Ky
+        pen = dpen = 0.0
+        if p.penalized:    # on the values of the third component, dofs 9 v + 6
+            pen, dpen, r3 = en.penalty_terms(y.dofs[6::9], p.eps_penalty, self._masses,
+                                             p.obstacle_height)
+            rhs[6::9] += r3
+        return e, pen, dpen, rhs
 
     def initial_state(self, y0: DeformationField | None = None) -> FlowState:
         y = y0 if y0 is not None else flat_embedding(self.mesh)
         if y.dofs.size != self.dofmap.num_dofs:
             raise ValueError("initial field does not match the mesh")
-        e, pen, dpen, Ky = self._energies(y)
+        Ky = self.K @ y.dofs
+        e, pen, dpen, rhs = self._evaluate(y, Ky)
         return FlowState(k=0, y=y, energy=e + pen, penalty_energy=pen,
                          delta_iso=isometry_defect(y), delta_pen=dpen,
-                         update_norm=np.inf, Ky=Ky)
+                         update_norm=np.inf, Ky=Ky, explicit_rhs=rhs)
 
     # -- one pseudo-time step -------------------------------------------------
 
@@ -170,22 +180,15 @@ class GradientFlow:
         y = state.y
 
         g = y.gradients()[self.free_vertices]     # (n, 3, 2): columns a1, a2
-        smin = float(smallest_singular_values(g).min())
+        Q, sigma = tangent_basis(g)
+        smin = float(sigma.min())
         if smin <= MIN_BLOCK_SINGULAR_VALUE:
             raise ConstraintDegeneracyError(
                 f"nodal constraint block degenerated (min singular value {smin:.3e}); "
                 "the nodal gradients are no longer near-isometric")
 
-        Ky = state.Ky if state.Ky is not None else self.K @ y.dofs
-        nl = state.nl_rhs
-        if nl is None:
-            nl = en.nonlinear_rhs(self.mesh, y, p.alpha, self.ops)
-        rhs_full = -Ky + nl + self.force_rhs
-        if p.penalized:
-            rhs_full = rhs_full + en.penalty_rhs(
-                self.mesh, y, p.eps_penalty, p.obstacle_height, self._masses)
-
-        d_f = self.system.solve(tangent_basis(g), rhs_full[self.free])
+        rhs = state.explicit_rhs + self.force_rhs - state.Ky
+        d_f = self.system.solve(Q, rhs[self.free])
 
         d = np.zeros(self.dofmap.num_dofs)
         d[self.free] = d_f
@@ -199,37 +202,16 @@ class GradientFlow:
         Kd = self.K @ d
         update_norm = float(np.sqrt(max(d @ Kd, 0.0)))
         y_new = DeformationField(y.dofs + p.tau * d)
-
-        if self.debug_checks:
-            self._check_telescoping(y, y_new, d, p.tau)
-
-        nl_new = en.nonlinear_rhs(self.mesh, y_new, p.alpha, self.ops)
-        e, pen, dpen, Ky_new = self._energies(y_new, Ky=Ky + p.tau * Kd)
+        Ky_new = state.Ky + p.tau * Kd
+        e, pen, dpen, rhs_new = self._evaluate(y_new, Ky_new)
         new = FlowState(
             k=state.k + 1, y=y_new, energy=e + pen, penalty_energy=pen,
             delta_iso=isometry_defect(y_new), delta_pen=dpen,
             update_norm=update_norm, history=state.history,
-            constraint_residual=residual, Ky=Ky_new, nl_rhs=nl_new)
+            constraint_residual=residual, Ky=Ky_new, explicit_rhs=rhs_new)
         new.history.append(HistoryRecord(new.k, new.energy, new.penalty_energy,
                                          new.delta_iso, new.delta_pen, new.update_norm))
         return new
-
-    def _check_telescoping(self, y, y_new, d, tau, n_samples=10, tol=1e-10):
-        """grad(y^k)^T grad(y^k) must equal the previous Gram matrix plus
-        tau^2 grad(d)^T grad(d) at every node (the constrained solve kills the
-        mixed term)."""
-        free = self.dofmap.free_vertices
-        if len(free) == 0:
-            return
-        sample = self._rng.choice(free, size=min(n_samples, len(free)), replace=False)
-        g0 = y.gradients()[sample]
-        g1 = y_new.gradients()[sample]
-        gd = DeformationField(d).gradients()[sample]
-        lhs = np.einsum("vci,vcj->vij", g1, g1)
-        rhs = np.einsum("vci,vcj->vij", g0, g0) + tau**2 * np.einsum("vci,vcj->vij", gd, gd)
-        err = np.abs(lhs - rhs).max()
-        if err > tol * max(1.0, np.abs(lhs).max()):
-            raise AssertionError(f"telescoping identity violated: {err:.3e}")
 
     # -- full iteration --------------------------------------------------------
 
@@ -246,15 +228,15 @@ class GradientFlow:
         state = self.initial_state(y0)
         initial_energy = state.energy
         limit = self.params.max_iters if max_iters is None else max_iters
-        reason = "max_iters"
+        reason, detail = "max_iters", ""
         for _ in range(limit):
             try:
                 state = self.step(state)
-            except SaddleSolveError:
-                reason = "solver_failure"
+            except SaddleSolveError as exc:
+                reason, detail = "solver_failure", str(exc)
                 break
-            except ConstraintDegeneracyError:
-                reason = "degeneracy"
+            except ConstraintDegeneracyError as exc:
+                reason, detail = "degeneracy", str(exc)
                 break
             if on_step is not None:
                 on_step(state)
@@ -268,12 +250,13 @@ class GradientFlow:
             delta_iso=state.delta_iso, delta_pen=state.delta_pen,
             last_update_norm=state.update_norm if np.isfinite(state.update_norm) else 0.0,
             initial_energy=initial_energy, wall_time=time.perf_counter() - t0,
-            mismatch_constant=self.params.alpha**2 * self.mesh.domain_area)
+            mismatch_constant=self.params.alpha**2 * self.mesh.domain_area,
+            termination_detail=detail)
         return report, state
 
 
 def run_flow(mesh: TriangleMesh, params: SimulationParams,
              y0: DeformationField | None = None,
-             on_step=None, debug_checks: bool = False):
+             on_step=None):
     """Convenience wrapper: assemble, iterate, report."""
-    return GradientFlow(mesh, params, debug_checks=debug_checks).run(y0, on_step=on_step)
+    return GradientFlow(mesh, params).run(y0, on_step=on_step)

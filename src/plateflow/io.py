@@ -109,6 +109,7 @@ def write_report(report: RunReport, path, config_echo: dict | None = None) -> No
     lines = [
         ("iterations", report.iterations),
         ("termination_reason", report.termination_reason),
+        ("termination_detail", report.termination_detail),
         ("energy", _fmt(report.energy)),
         ("energy_with_mismatch_constant", _fmt(report.energy_with_mismatch_constant)),
         ("mismatch_constant", _fmt(report.mismatch_constant)),

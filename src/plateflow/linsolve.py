@@ -14,12 +14,12 @@ R_ij = Z_i^T A_ij Z_j on those vertex pairs, and its pattern never changes.
 `TangentSystem` builds that pattern once, in compressed sparse column form,
 in a fill-reducing order of the vertices (minimum degree on the vertex
 graph); a step computes the blocks with a few batched small products,
-scatters them into the pattern and factors R with diagonal pivots.  The
-value-value part of a block is S_ij[0, 0] times the identity, so its
-off-diagonal entries are exact zeros and are not stored.  A single step of
-iterative refinement keeps the solve within its normwise backward-error
-contract.  Factorizations are deterministic: identical inputs yield
-bit-identical solutions.
+gathers them into the pattern through a source index fixed at set-up and
+factors R with diagonal pivots.  The value-value part of a block is
+S_ij[0, 0] times the identity, so its off-diagonal entries are exact zeros
+and are not stored.  A single step of iterative refinement keeps the solve
+within its normwise backward-error contract.  Factorizations are
+deterministic: identical inputs yield bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -150,17 +150,17 @@ class TangentSystem:
                                shape=(6 * n, 6 * n))
 
         # A step computes the blocks of the pairs i <= j only, since
-        # R_ji = R_ij^T, and writes each of them twice: into its own place and,
-        # transposed, into the place of (j, i).  A diagonal block is written
-        # into its own place both times.
+        # R_ji = R_ij^T, and gathers R.data from them: each block fills its
+        # own place and, transposed, the place of (j, i).  A diagonal block
+        # fills its own place only.
         upper = np.flatnonzero(rows <= cols)
         self._rows, self._cols = rows[upper], cols[upper]
         mirror = np.searchsorted(cols * n + rows, self._rows * n + self._cols)
-        self._positions = np.empty((2, len(upper), 30), dtype=np.int32)
-        self._positions[0] = positions[upper]
-        self._positions[1] = positions[mirror][:, _TRANSPOSED]
         self._diagonal_pairs = np.flatnonzero(self._rows == self._cols)
-        self._positions[1, self._diagonal_pairs] = self._positions[0, self._diagonal_pairs]
+        entries = np.arange(30 * len(upper)).reshape(-1, 30)
+        self._source = np.empty(30 * num_pairs, dtype=np.intp)
+        self._source[positions[mirror[:, None], _TRANSPOSED]] = entries
+        self._source[positions[upper]] = entries
         self._blocks = blocks.reshape(num_pairs, 3, 3)[upper]
         self._value_diagonal = (None if value_diagonal is None
                                 else np.asarray(value_diagonal)[self.vertices])
@@ -168,19 +168,22 @@ class TangentSystem:
     def _block_values(self, Q) -> np.ndarray:
         """The stored entries of the blocks R_ij with i <= j, shape (pairs, 30)."""
         S = self._blocks
-        Qi, Qj = Q[self._rows], Q[self._cols]
-        values = np.empty((len(S), 30))
+        pairs = len(S)
+        # Q_i and Q_j with the kind first: entry [p, k, 3 c + j]
+        Qk = Q.transpose(0, 2, 1, 3)
+        Qi = Qk[self._rows].reshape(pairs, 2, 9)
+        Qj = Qk[self._cols].reshape(pairs, 2, 9)
+        values = np.empty((pairs, 30))
         values[:, :3] = S[:, :1, 0]
-        # SQ[p, c, k] = S_ij[k, 1:] applied to the gradient rows of Q_j, for
-        # the value row (k = 0) and the two gradient rows of component c
-        SQ = np.matmul(S[:, None, :, 1:], Qj)
-        values[:, 3:12] = SQ[:, :, 0].reshape(-1, 9)
+        # SQ[p, k, 3 c + j] = S_ij[k, 1:] applied to the gradient rows of Q_j,
+        # for the value row (k = 0) and the two gradient rows of component c
+        SQ = np.matmul(S[:, :, 1:], Qj)
+        values[:, 3:12] = SQ[:, 0]
         # value columns: the gradient rows of Q_i against S_ij[1:, 0]
-        values[:, 12:21] = (S[:, None, 1, :1] * Qi[:, :, 0]
-                            + S[:, None, 2, :1] * Qi[:, :, 1]).reshape(-1, 9)
+        np.matmul(S[:, None, 1:, 0], Qi, out=values[:, None, 12:21])
         # kernel-kernel: Q_i^T kron(I_3, S_ij[1:, 1:]) Q_j
-        values[:, 21:] = np.matmul(Qi.reshape(-1, 6, 3).transpose(0, 2, 1),
-                                   SQ[:, :, 1:].reshape(-1, 6, 3)).reshape(-1, 9)
+        np.matmul(Qi.reshape(pairs, 6, 3).transpose(0, 2, 1), SQ[:, 1:].reshape(pairs, 6, 3),
+                  out=values[:, 21:].reshape(pairs, 3, 3))
         if self._value_diagonal is not None:
             values[self._diagonal_pairs, :3] += self._value_diagonal
         return values
@@ -192,7 +195,8 @@ class TangentSystem:
         if Q.shape != (len(self.vertices), 3, 2, 3):
             raise ValueError(f"kernel blocks of shape {Q.shape} do not match "
                              f"{len(self.vertices)} vertices")
-        self.R.data[self._positions] = self._block_values(Q)
+        np.take(self._block_values(Q).reshape(-1), self._source, out=self.R.data,
+                mode="clip")
 
     def solve(self, Q, rhs) -> np.ndarray:
         """Return the dofs d = Z u with (Z^T A Z) u = Z^T rhs.
@@ -211,7 +215,8 @@ class TangentSystem:
         r = rhs.reshape(n, 3, 3)
         b = np.empty((n, 6))
         b[:, :3] = r[:, :, 0]
-        b[:, 3:] = np.einsum("nckj,nck->nj", Q, r[:, :, 1:])
+        Q = Q.reshape(n, 6, 3)
+        b[:, 3:] = np.matmul(r[:, :, 1:].reshape(n, 1, 6), Q)[:, 0]
         b = b.reshape(-1)
         try:
             lu = _factor(R, "NATURAL")
@@ -239,5 +244,5 @@ class TangentSystem:
         u = u.reshape(n, 6)
         d = np.empty((n, 3, 3))
         d[:, :, 0] = u[:, :3]
-        d[:, :, 1:] = np.einsum("nckj,nj->nck", Q, u[:, 3:])
+        d[:, :, 1:] = np.matmul(Q, u[:, 3:, None]).reshape(n, 3, 2)
         return d.reshape(-1)

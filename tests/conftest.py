@@ -3,6 +3,7 @@ import pytest
 
 from plateflow import dkt, mesh as pm
 from plateflow.constraints import tangent_basis
+from plateflow.linsolve import _BLOCK_COLS as BLOCK_COLS, _BLOCK_ROWS as BLOCK_ROWS
 
 EPS = np.finfo(np.float64).eps
 
@@ -100,6 +101,110 @@ def dense_basis(Q):
     return Z
 
 
+def scattered_data(system, values):
+    """R.data as a scatter of the blocks of the pairs i <= j writes it: each
+    block into its own place and, transposed, into the place of (j, i); a
+    diagonal block into its own place only."""
+    R = system.R
+    N = R.shape[0]
+    keys = np.repeat(np.arange(N), np.diff(R.indptr)) * N + R.indices  # col N + row
+    rows = 6 * system._rows[:, None] + BLOCK_ROWS
+    cols = 6 * system._cols[:, None] + BLOCK_COLS
+    data = np.full(R.nnz, np.nan)
+    data[np.searchsorted(keys, cols * N + rows)] = values
+    off = system._rows != system._cols
+    data[np.searchsorted(keys, rows[off] * N + cols[off])] = values[off]
+    return data
+
+
+# ---------------------------------------------------------------------------
+# oracles of the evaluation pass: the spontaneous-curvature term, its
+# derivative and the penalty terms, each computed on its own
+
+def nodal_normals(field):
+    """d1 y x d2 y at each vertex, shape (V, 3)."""
+    g = field.gradients()
+    return np.cross(g[:, :, 0], g[:, :, 1])
+
+
+def nonlinear_energy_term(mesh, field, alpha, ops=None):
+    """alpha * L{ lap_h(y) . (d1 y x d2 y) }; enters the energy with a minus sign."""
+    if ops is None:
+        ops = dkt.element_operators(mesh)
+    loc = dkt.local_scalar_dofs(mesh, field)
+    lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)       # (F, 3v, 3c)
+    nu = nodal_normals(field)[mesh.triangles]                  # (F, 3v, 3c)
+    return alpha * dkt.lumped_p1_integral(mesh, np.einsum("fpc,fpc->fp", lap, nu))
+
+
+def nonlinear_rhs(mesh, field, alpha, ops=None):
+    """Assembled linear functional r with r . w equal to the Gateaux derivative
+    of nonlinear_energy_term at `field`; the sum of the three lumped terms in
+    which the test function enters the Laplacian, d1, and d2 slots in turn."""
+    if ops is None:
+        ops = dkt.element_operators(mesh)
+    tri = mesh.triangles
+    w = ops.areas / 3.0
+    g = field.gradients()
+    a1 = g[:, :, 0][tri]                                       # (F, 3v, 3c)
+    a2 = g[:, :, 1][tri]
+    nu = np.cross(a1, a2)
+    loc = dkt.local_scalar_dofs(mesh, field)
+    lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)
+
+    r = np.zeros(9 * mesh.num_vertices)
+    # term 1: test function inside the discrete Laplacian
+    contrib = alpha * np.einsum("f,fpc,fpl->fcl", w, nu, ops.divergence)
+    np.add.at(r, ops.scalar_dof_indices.reshape(-1), contrib.reshape(-1))
+    # terms 2 and 3: test function inside the cross product; contributions land
+    # on the nodal gradient dofs.  l.(d1w x a2) = d1w.(a2 x l),
+    # l.(a1 x d2w) = d2w.(l x a1)
+    c1 = alpha * w[:, None, None] * np.cross(a2, lap)          # -> (vertex, c, kind=1)
+    c2 = alpha * w[:, None, None] * np.cross(lap, a1)          # -> (vertex, c, kind=2)
+    base = (9 * tri[:, :, None] + 3 * np.arange(3)[None, None, :])
+    np.add.at(r, (base + 1).reshape(-1), c1.reshape(-1))
+    np.add.at(r, (base + 2).reshape(-1), c2.reshape(-1))
+    return r
+
+
+def penalty_pieces(s, height=1.0):
+    """Concave part P of the splitting (s-g)_+^2 = s^2 + P(s) and p = P'.
+
+    For the unit obstacle: P(s) = -2s+1 for s > 1 and -s^2 for s <= 1;
+    p(s) = -2 for s > 1 and -2s for s <= 1 (continuous, nonincreasing).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    above = s > height
+    P = np.where(above, -2.0 * height * s + height**2, -s * s)
+    p = np.where(above, -2.0 * height, -2.0 * s)
+    if P.ndim == 0:
+        return float(P), float(p)
+    return P, p
+
+
+def penalty_energy(mesh, field, eps, height=1.0):
+    """(1/2 eps) * lumped integral of (y3 - height)_+^2."""
+    masses = dkt.vertex_lumped_masses(mesh)
+    over = np.maximum(field.positions()[:, 2] - height, 0.0)
+    return float((masses * over**2).sum()) / (2.0 * eps)
+
+
+def obstacle_penetration(field, height=1.0):
+    """Discrete max norm of (y3 - height)_+ over the vertices."""
+    return float(np.maximum(field.positions()[:, 2] - height, 0.0).max())
+
+
+def penalty_rhs(mesh, field, eps, height=1.0):
+    """Explicit penalty terms of the penalized flow at the previous iterate:
+    -(1/eps) M y3 - (1/2 eps) M p(y3), from the splitting itself."""
+    masses = dkt.vertex_lumped_masses(mesh)
+    y3 = field.positions()[:, 2]
+    _, p = penalty_pieces(y3, height)
+    r = np.zeros((mesh.num_vertices, 3, 3))
+    r[:, 2, 0] = -(masses / eps) * (y3 + 0.5 * p)
+    return r.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # rounding scales of the flat state
 #
@@ -138,7 +243,7 @@ def flat_update_rounding_scale(flow):
     """
     y = dkt.flat_embedding(flow.mesh)
     rho = residual_rounding_scale(flow.K, y)
-    Q = tangent_basis(y.gradients()[flow.free_vertices])
+    Q, _ = tangent_basis(y.gradients()[flow.free_vertices])
     d_f = flow.system.solve(Q, rho[flow.free])
     K_ff = flow.K[flow.free][:, flow.free]
     return float(np.sqrt(d_f @ (K_ff @ d_f)))

@@ -13,7 +13,7 @@ def test_flat_constraint_rows(rect_l2_clamped):
     dm = DktDofMap.from_mesh(m)
     free = dm.free_vertices
     y = flat_embedding(m)
-    Q = cn.tangent_basis(y.gradients()[free])
+    Q, sigma = cn.tangent_basis(y.gradients()[free])
     assert Q.shape == (len(free), 3, 2, 3)
     # at a flat vertex the kernel reads d1w1 = 0, d2w2 = 0, d1w2 + d2w1 = 0:
     # it is spanned by d1w3, d2w3 and (d2w1 - d1w2) / sqrt(2)
@@ -30,7 +30,7 @@ def test_flat_constraint_rows(rect_l2_clamped):
         block = Z[9 * b:9 * b + 9, 6 * b:6 * b + 6]
         assert np.array_equal(block[[0, 3, 6], :3], np.eye(3))
         assert not block[[0, 3, 6], 3:].any() and not block[GRAD_DOFS, :3].any()
-    assert np.isclose(cn.smallest_singular_values(y.gradients()[free]).min(), 1.0)
+    assert np.isclose(sigma.min(), 1.0)
 
 
 def test_kernel_is_linearized_isometry(rect_l2_clamped):
@@ -52,7 +52,7 @@ def test_kernel_is_linearized_isometry(rect_l2_clamped):
     assert np.allclose(res[:, 0], 0.5 * sym[free, 0, 0], atol=1e-12)
     assert np.allclose(res[:, 1], 0.5 * sym[free, 1, 1], atol=1e-12)
     assert np.allclose(res[:, 2], sym[free, 0, 1], atol=1e-12)
-    Q = cn.tangent_basis(gy[free]).reshape(-1, 6, 3)
+    Q = cn.tangent_basis(gy[free])[0].reshape(-1, 6, 3)
     for b in range(len(free)):
         assert np.abs(blocks[b] @ Q[b]).max() <= 1e-14 * np.abs(blocks[b]).max()
         assert np.abs(Q[b].T @ Q[b] - np.eye(3)).max() <= 1e-14
@@ -84,7 +84,7 @@ def test_block_singular_values_near_isometry(rect_l2_clamped):
         dofs[:, :, 1] = a
         dofs[:, :, 2] = b
         field = DeformationField(dofs.reshape(-1))
-        assert cn.smallest_singular_values(field.gradients()[free]).min() >= 0.5
+        assert cn.tangent_basis(field.gradients()[free])[1].min() >= 0.5
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
@@ -97,7 +97,7 @@ def test_smallest_singular_values_match_svd(rect_l2_clamped, scale):
         y = random_field(m, rng, scale=scale)
         blocks = constraint_blocks(y, free)
         reference = np.linalg.svd(blocks, compute_uv=False)[:, 2]
-        closed = cn.smallest_singular_values(y.gradients()[free])
+        closed = cn.tangent_basis(y.gradients()[free])[1]
         assert np.abs(closed - reference).max() <= 1e-13 * np.abs(blocks).max()
 
 
@@ -107,8 +107,8 @@ def test_smallest_singular_values_vanish_for_parallel_columns():
     g[:, :, 1] = g[:, :, 0]
     norm = np.abs(g).max(axis=(1, 2))
     # the eigenvalue is zero up to its rounding, eps |C|^2; sigma its root
-    assert (cn.smallest_singular_values(g) <= 1e-7 * norm).all()
-    assert (cn.smallest_singular_values(np.zeros((3, 3, 2))) == 0.0).all()
+    assert (cn.tangent_basis(g)[1] <= 1e-7 * norm).all()
+    assert (cn.tangent_basis(np.zeros((3, 3, 2)))[1] == 0.0).all()
 
 
 def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
@@ -121,10 +121,10 @@ def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
     rng = np.random.default_rng(139)
     v = random_field(m, rng)
     for y in (flat_embedding(m), random_field(m, rng)):
-        Q0 = cn.tangent_basis(y.gradients()[free])
+        Q0 = cn.tangent_basis(y.gradients()[free])[0]
         ratios = []
         for t in (1e-2, 1e-4, 1e-6):
-            Qt = cn.tangent_basis((y.dofs + t * v.dofs).reshape(-1, 3, 3)[free, :, 1:])
+            Qt = cn.tangent_basis((y.dofs + t * v.dofs).reshape(-1, 3, 3)[free, :, 1:])[0]
             ratios.append(np.abs(Qt - Q0).max() / t)
         assert max(ratios) <= 2 * min(ratios)
         # the difference quotients converge, to the derivative of the basis

@@ -5,8 +5,9 @@ from plateflow import dkt, energy as en, mesh as pm
 from plateflow.dkt import flat_embedding, interpolate_dkt
 from plateflow.energy import SimulationParams
 
-from conftest import (cylinder_map, flat_energy_rounding_scale, random_field,
-                      residual_rounding_scale)
+from conftest import (EPS, cylinder_map, flat_energy_rounding_scale, nonlinear_energy_term,
+                      nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
+                      penalty_rhs, random_field, residual_rounding_scale)
 
 
 def test_params_validation():
@@ -73,7 +74,7 @@ def test_stiffness_sparsity_is_local(rect_l2):
 # nonlinear spontaneous-curvature term
 
 def test_nonlinear_term_zero_on_flat(rect_l2):
-    assert en.nonlinear_energy_term(rect_l2, flat_embedding(rect_l2), 2.5) == 0.0
+    assert en.curvature_terms(rect_l2, flat_embedding(rect_l2), 2.5)[0] == 0.0
 
 
 def test_nonlinear_term_cylinder_value():
@@ -85,7 +86,7 @@ def test_nonlinear_term_cylinder_value():
     for level in (2, 3):
         m = pm.generate_rectangle_mesh(level)
         field = interpolate_dkt(m, y, grad)
-        vals.append(en.nonlinear_energy_term(m, field, alpha))
+        vals.append(en.curvature_terms(m, field, alpha)[0])
     target = alpha**2 * 40.0
     assert abs(vals[1] - target) < 0.7 * abs(vals[0] - target) + 1e-12
     assert abs(vals[1] - target) < 0.02 * target
@@ -98,8 +99,8 @@ def test_nonlinear_term_odd_under_reflection(rect_l2):
     flipped = field.copy()
     nod = flipped.nodal()
     nod[:, 2, :] *= -1.0
-    v1 = en.nonlinear_energy_term(rect_l2, field, 1.3)
-    v2 = en.nonlinear_energy_term(rect_l2, flipped, 1.3)
+    v1 = en.curvature_terms(rect_l2, field, 1.3)[0]
+    v2 = en.curvature_terms(rect_l2, flipped, 1.3)[0]
     assert np.isclose(v1, -v2, rtol=1e-12)
 
 
@@ -107,15 +108,15 @@ def test_nonlinear_rhs_matches_finite_differences(rect_l2):
     rng = np.random.default_rng(31)
     field = random_field(rect_l2, rng, scale=0.5)
     alpha = 1.7
-    r = en.nonlinear_rhs(rect_l2, field, alpha)
+    r = en.curvature_terms(rect_l2, field, alpha)[1]
     step = 1e-4 * max(np.abs(field.dofs).max(), 1.0)
     for _ in range(20):
         w = rng.standard_normal(field.dofs.size)
         w /= np.linalg.norm(w)
         fp = dkt.DeformationField(field.dofs + step * w)
         fm = dkt.DeformationField(field.dofs - step * w)
-        fd = (en.nonlinear_energy_term(rect_l2, fp, alpha)
-              - en.nonlinear_energy_term(rect_l2, fm, alpha)) / (2 * step)
+        fd = (en.curvature_terms(rect_l2, fp, alpha)[0]
+              - en.curvature_terms(rect_l2, fm, alpha)[0]) / (2 * step)
         assert abs(fd - r @ w) <= 1e-6 * max(abs(fd), 1.0)
 
 
@@ -125,7 +126,7 @@ def test_nonlinear_rhs_flat_state_hits_third_component(rect_l2):
     # alpha * lumped integral of lap_h(w) . e3
     alpha = 0.8
     flat = flat_embedding(rect_l2)
-    r = en.nonlinear_rhs(rect_l2, flat, alpha)
+    r = en.curvature_terms(rect_l2, flat, alpha)[1]
     rng = np.random.default_rng(37)
     ops = dkt.element_operators(rect_l2)
     for _ in range(5):
@@ -140,13 +141,42 @@ def test_nonlinear_rhs_vanishes_on_valueless_flat_patch(rect_l2):
     # base, and its reconstruction is constant per component: no contribution
     alpha = 1.1
     flat = flat_embedding(rect_l2)
-    r = en.nonlinear_rhs(rect_l2, flat, alpha)
+    r = en.curvature_terms(rect_l2, flat, alpha)[1]
     rng = np.random.default_rng(41)
     w = np.zeros(9 * rect_l2.num_vertices)
     w[0::9] = rng.standard_normal(rect_l2.num_vertices)
     w[3::9] = rng.standard_normal(rect_l2.num_vertices)
     w[6::9] = rng.standard_normal(rect_l2.num_vertices)
     assert abs(r @ w) < 1e-10
+
+
+@pytest.mark.parametrize("pattern", ["nonsymmetric", "symmetric"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_curvature_terms_match_separate_evaluations(level, pattern):
+    # one pass gives the term and its derivative that the separate
+    # evaluations give, each with its own gather, Laplacian and normals
+    m = pm.generate_rectangle_mesh(level, pattern)
+    ops = dkt.element_operators(m)
+    rng = np.random.default_rng(163 + level)
+    for _ in range(4):
+        field = random_field(m, rng, scale=rng.uniform(0.1, 10.0))
+        alpha = rng.uniform(0.1, 3.0)
+        value, r = en.curvature_terms(m, field, alpha, ops)
+        reference = nonlinear_energy_term(m, field, alpha, ops)
+        assert abs(value - reference) <= 1e-13 * abs(reference)
+        reference = nonlinear_rhs(m, field, alpha, ops)
+        assert np.abs(r - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_curvature_derivative_along_the_field(rect_l2):
+    # the term is cubic in y, so r(y) . y = 3 E_nl(y), up to the rounding of
+    # the products that make up r . y
+    rng = np.random.default_rng(167)
+    for _ in range(5):
+        field = random_field(rect_l2, rng, scale=rng.uniform(0.1, 10.0))
+        value, r = en.curvature_terms(rect_l2, field, 1.9)
+        scale = np.abs(r) @ np.abs(field.dofs)
+        assert abs(r @ field.dofs - 3.0 * value) <= 8 * EPS * scale
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +249,7 @@ def test_total_energy_gradient_consistency(rect_l2):
     field = random_field(rect_l2, rng, scale=0.5)
     params = SimulationParams(alpha=1.2, tau=0.1, f=(0.0, 0.0, 2e-3))
     K = en.assemble_bending_stiffness(rect_l2)
-    grad_vec = (K @ field.dofs - en.nonlinear_rhs(rect_l2, field, params.alpha)
+    grad_vec = (K @ field.dofs - en.curvature_terms(rect_l2, field, params.alpha)[1]
                 - en.force_rhs(rect_l2, params.f))
     step = 1e-4 * np.abs(field.dofs).max()
     for _ in range(10):
@@ -236,26 +266,26 @@ def test_total_energy_gradient_consistency(rect_l2):
 # obstacle penalty
 
 def test_penalty_pieces_published_values():
-    P, p = en.penalty_pieces(2.0)
+    P, p = penalty_pieces(2.0)
     assert (P, p) == (-3.0, -2.0)
 
 
 def test_penalty_pieces_splitting_identity_below():
     s = 0.5
-    P, _ = en.penalty_pieces(s)
+    P, _ = penalty_pieces(s)
     assert s**2 + P == 0.0 == max(s - 1.0, 0.0)**2
 
 
 def test_penalty_pieces_continuous_at_kink():
-    P, p = en.penalty_pieces(1.0)
+    P, p = penalty_pieces(1.0)
     assert (P, p) == (-1.0, -2.0)
-    P_above, p_above = en.penalty_pieces(1.0 + 1e-12)
+    P_above, p_above = penalty_pieces(1.0 + 1e-12)
     assert abs(P - P_above) < 1e-11 and abs(p - p_above) < 1e-11
 
 
 def test_penalty_pieces_vectorized_and_monotone():
     s = np.linspace(-2, 3, 101)
-    P, p = en.penalty_pieces(s)
+    P, p = penalty_pieces(s)
     assert (np.diff(p) <= 1e-14).all()          # p nonincreasing
     assert np.allclose(s**2 + P, np.maximum(s - 1.0, 0.0)**2, atol=1e-14)
 
@@ -263,18 +293,23 @@ def test_penalty_pieces_vectorized_and_monotone():
 def test_penalty_pieces_general_height():
     g = 1.75
     s = np.linspace(-1, 4, 57)
-    P, p = en.penalty_pieces(s, height=g)
+    P, p = penalty_pieces(s, height=g)
     assert np.allclose(s**2 + P, np.maximum(s - g, 0.0)**2, atol=1e-13)
+
+
+def penalty_terms(mesh, field, eps, height=1.0):
+    return en.penalty_terms(field.positions()[:, 2], eps, dkt.vertex_lumped_masses(mesh),
+                            height)
 
 
 def test_penalty_energy_values(rect_l2):
     flat = flat_embedding(rect_l2)
-    assert en.penalty_energy(rect_l2, flat, 0.25) == 0.0
+    assert penalty_terms(rect_l2, flat, 0.25)[0] == 0.0
     lifted = flat.copy()
     lifted.nodal()[:, 2, 0] = 2.0
-    assert np.isclose(en.penalty_energy(rect_l2, lifted, 0.25), 40.0 / (2 * 0.25))
+    assert np.isclose(penalty_terms(rect_l2, lifted, 0.25)[0], 40.0 / (2 * 0.25))
     with pytest.raises(ValueError):
-        en.penalty_energy(rect_l2, flat, 0.0)
+        penalty_terms(rect_l2, flat, 0.0)
 
 
 def test_penalty_energy_matches_splitting_identity(rect_l2):
@@ -283,16 +318,16 @@ def test_penalty_energy_matches_splitting_identity(rect_l2):
     field = random_field(rect_l2, rng)
     eps = 0.3
     y3 = field.positions()[:, 2]
-    P, _ = en.penalty_pieces(y3)
+    P, _ = penalty_pieces(y3)
     via_split = dkt.lumped_p1_integral(
         rect_l2, (y3**2 + P)[rect_l2.triangles]) / (2 * eps)
-    assert np.isclose(en.penalty_energy(rect_l2, field, eps), via_split, atol=1e-12)
+    assert np.isclose(penalty_terms(rect_l2, field, eps)[0], via_split, atol=1e-12)
 
 
 def test_penalty_rhs_cancels_below_obstacle(rect_l2):
     field = flat_embedding(rect_l2)  # y3 = 0 <= 1 everywhere
-    r = en.penalty_rhs(rect_l2, field, eps=0.125)
-    assert np.abs(r).max() == 0.0
+    r3 = penalty_terms(rect_l2, field, eps=0.125)[2]
+    assert np.abs(r3).max() == 0.0
 
 
 def test_penalty_rhs_matches_penalty_gradient_above(rect_l2):
@@ -300,9 +335,25 @@ def test_penalty_rhs_matches_penalty_gradient_above(rect_l2):
     rng = np.random.default_rng(59)
     field = random_field(rect_l2, rng, scale=2.0)
     eps = 0.2
-    r = en.penalty_rhs(rect_l2, field, eps).reshape(-1, 3, 3)
+    r3 = penalty_terms(rect_l2, field, eps)[2]
     y3 = field.positions()[:, 2]
     m = dkt.vertex_lumped_masses(rect_l2)
     expect = -(m / eps) * np.maximum(y3 - 1.0, 0.0)
-    assert np.allclose(r[:, 2, 0], expect, atol=1e-13)
-    assert np.abs(r[:, :2, :]).max() == 0.0
+    assert np.allclose(r3, expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("height", [1.0, 1.75])
+def test_penalty_terms_match_separate_evaluations(rect_l2, height):
+    # one read of y3 gives the energy, the penetration and the explicit
+    # terms of the splitting, bit for bit, below and above the obstacle
+    rng = np.random.default_rng(173)
+    eps = 0.125
+    lifted = random_field(rect_l2, rng, scale=2.0)
+    y3 = lifted.positions()[:, 2]
+    assert (y3 > height).any() and (y3 < height).any()
+    for field in (flat_embedding(rect_l2), lifted):
+        energy, penetration, r3 = penalty_terms(rect_l2, field, eps, height)
+        assert energy == penalty_energy(rect_l2, field, eps, height)
+        assert penetration == obstacle_penetration(field, height)
+        reference = penalty_rhs(rect_l2, field, eps, height).reshape(-1, 3, 3)
+        assert np.array_equal(r3, reference[:, 2, 0])

@@ -13,7 +13,8 @@ from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_safeguard
 from plateflow.presets import RunConfig, resolve
 
-from conftest import dense_basis, flat_update_rounding_scale, random_field
+from conftest import (dense_basis, flat_update_rounding_scale, penalty_rhs, random_field,
+                      scattered_data)
 
 
 def small_oshape():
@@ -40,13 +41,23 @@ def test_flat_stationary_with_zero_data(rect_l2_clamped, rect_l2_symmetric_clamp
 
 def test_steps_decrease_energy_and_respect_constraints(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=60)
-    flow = GradientFlow(oshape_l1_clamped, params, debug_checks=True)
+    flow = GradientFlow(oshape_l1_clamped, params)
+    free = flow.dofmap.free_vertices
     state = flow.initial_state()
     energies = [state.energy]
     for _ in range(60):
-        state = flow.step(state)
+        previous, state = state, flow.step(state)
         energies.append(state.energy)
         assert state.constraint_residual <= 1e-10
+        # telescoping identity at every free vertex: the constrained solve
+        # kills the mixed term, so the Gram matrix of grad(y) grows by that of
+        # the increment, G(y^k) = G(y^(k-1)) + G(y^k - y^(k-1))
+        g0 = previous.y.gradients()[free]
+        g1 = state.y.gradients()[free]
+        gd = g1 - g0
+        lhs = np.einsum("vci,vcj->vij", g1, g1)
+        rhs = np.einsum("vci,vcj->vij", g0, g0) + np.einsum("vci,vcj->vij", gd, gd)
+        assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
         # fixed dofs never move
         for v in oshape_l1_clamped.dirichlet_vertices:
             base = flat_embedding(oshape_l1_clamped).dofs[9 * v:9 * v + 9]
@@ -92,6 +103,7 @@ def test_degeneracy_detected(oshape_l1_clamped):
     y_d, phi_d = identity_boundary_data()
     report, _ = run_flow(m, params, y0=y0)
     assert report.termination_reason == "degeneracy"
+    assert "min singular value" in report.termination_detail
 
 
 def test_solver_failure_reported(oshape_l1_clamped, monkeypatch):
@@ -104,6 +116,7 @@ def test_solver_failure_reported(oshape_l1_clamped, monkeypatch):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=5)
     report, _ = run_flow(oshape_l1_clamped, params)
     assert report.termination_reason == "solver_failure"
+    assert "synthetic failure" in report.termination_detail
 
 
 def test_penalized_flat_stationary(oshape_l1_clamped):
@@ -116,6 +129,18 @@ def test_penalized_flat_stationary(oshape_l1_clamped):
     assert report.termination_reason == "converged"
     assert report.iterations == 1
     assert report.last_update_norm <= flat_update_rounding_scale(flow)
+
+
+def test_explicit_rhs_without_curvature_is_the_penalty_rhs(oshape_l1_clamped):
+    # alpha = 0 skips the curvature pass: the explicit rhs of a step is then
+    # exactly the penalty rhs, above and below the obstacle
+    m = oshape_l1_clamped
+    params = SimulationParams(alpha=0.0, tau=0.01, eps_penalty=0.125, mode="penalized_flow")
+    flow = GradientFlow(m, params)
+    y = random_field(m, np.random.default_rng(157), scale=2.0)
+    assert (y.positions()[:, 2] > 1.0).any() and (y.positions()[:, 2] < 1.0).any()
+    rhs = flow._evaluate(y, flow.K @ y.dofs)[3]
+    assert np.array_equal(rhs, penalty_rhs(m, y, params.eps_penalty))
 
 
 def test_penalized_lyapunov_decay_short(oshape_l1_clamped):
@@ -160,7 +185,7 @@ def test_flow_orders_tangent_system(level):
 
     # the matrix the flow factors in the next step, and the same matrix with
     # its unknowns in dof order
-    flow.system.assemble(tangent_basis(y.gradients()[flow.free_vertices]))
+    flow.system.assemble(tangent_basis(y.gradients()[flow.free_vertices])[0])
     R = flow.system.R
     in_dof_order = np.argsort(flow.free_vertices)
     unknowns = (6 * in_dof_order[:, None] + np.arange(6)).reshape(-1)
@@ -188,11 +213,13 @@ def test_blockwise_step_matrix_matches_dense_product(mode, oshape_l1_clamped):
         A[values, values] += params.tau / params.eps_penalty * vertex_lumped_masses(m)
     A_ff = A[np.ix_(flow.free, flow.free)]
     y = random_field(m, np.random.default_rng(149))
-    Q = tangent_basis(y.gradients()[flow.free_vertices])
+    Q, _ = tangent_basis(y.gradients()[flow.free_vertices])
     flow.system.assemble(Q)
     Z = dense_basis(Q)
     expected = Z.T @ A_ff @ Z
     assert np.abs(flow.system.R.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.array_equal(flow.system.R.data,
+                          scattered_data(flow.system, flow.system._block_values(Q)))
 
 
 def test_history_record_schema(oshape_l1_clamped):

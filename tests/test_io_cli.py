@@ -97,6 +97,7 @@ def test_report_roundtrip(tiny_run, tmp_path):
     pio.write_report(report, path, {"experiment": "oshape", "level": 1})
     back = pio.read_report(path)
     assert back["termination_reason"] == "max_iters"
+    assert back["termination_detail"] == ""
     assert int(back["iterations"]) == 3
     assert back["config.experiment"] == "oshape"
     assert abs(float(back["energy"]) - report.energy) < 1e-9 * abs(report.energy)
@@ -249,6 +250,23 @@ def test_cli_resume_roundtrip(tmp_path):
     assert r2["config.resume"] != "none"
     # resumed run starts from the checkpoint, not the flat state
     assert float(r2["initial_energy"]) < -1.0
+
+
+def test_cli_reports_failure_detail(tmp_path, capsys, monkeypatch):
+    # the message of a solver failure reaches report.txt and the console
+    from plateflow import linsolve
+
+    def boom(*a, **k):
+        raise linsolve.SaddleSolveError("synthetic failure")
+
+    monkeypatch.setattr(linsolve.TangentSystem, "solve", boom)
+    out = tmp_path / "failed"
+    assert main(["--experiment", "oshape", "--level", "1", "--max-iters", "3",
+                 "--out", str(out), "--vtk-every", "0"]) == 1
+    report = pio.read_report(out / "report.txt")
+    assert report["termination_reason"] == "solver_failure"
+    assert report["termination_detail"] == "synthetic failure"
+    assert "synthetic failure" in capsys.readouterr().out
 
 
 def test_cli_invalid_usage(tmp_path, capsys):

@@ -5,7 +5,7 @@ from plateflow import linsolve
 from plateflow.constraints import tangent_basis
 from plateflow.linsolve import SaddleSolveError, TangentSystem
 
-from conftest import GRAD_DOFS, dense_basis
+from conftest import GRAD_DOFS, dense_basis, scattered_data
 
 
 def dense_kkt_oracle(A, B, rhs):
@@ -74,7 +74,7 @@ def random_case(rng, num_vertices, scale=1.0, value_diagonal=None):
     system = TangentSystem(triangles, E, np.arange(1, num_vertices), value_diagonal)
     A = dense_matrix(system, triangles, E, value_diagonal)
     grads = rng.standard_normal((num_vertices - 1, 3, 2))
-    return system, A, tangent_basis(grads), constraint_matrix(grads)
+    return system, A, tangent_basis(grads)[0], constraint_matrix(grads)
 
 
 def test_blockwise_matrix_matches_dense_product():
@@ -95,6 +95,17 @@ def test_blockwise_matrix_matches_dense_product():
         assert system.R.has_canonical_format
 
 
+def test_gathered_matrix_equals_scattered_blocks():
+    # the gather through the source index fixed at construction writes
+    # exactly the bits of a scatter of the blocks, with and without a
+    # diagonal on the value dofs
+    rng = np.random.default_rng(151)
+    for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
+        system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
+        system.assemble(Q)
+        assert np.array_equal(system.R.data, scattered_data(system, system._block_values(Q)))
+
+
 def test_unconstrained_identity():
     # with A = I and a right-hand side in the tangent space the step returns
     # the right-hand side itself
@@ -106,7 +117,7 @@ def test_unconstrained_identity():
         E[f] = np.diag(np.repeat(1.0 / counts[tri], 3))
     system = TangentSystem(triangles, E, np.arange(6))
     assert np.allclose(dense_matrix(system, triangles, E), np.eye(54), atol=1e-15)
-    Q = tangent_basis(rng.standard_normal((6, 3, 2)))
+    Q = tangent_basis(rng.standard_normal((6, 3, 2)))[0]
     rhs = dense_basis(Q) @ rng.standard_normal(36)
     assert np.allclose(system.solve(Q, rhs), rhs)
 
@@ -204,7 +215,7 @@ def test_deterministic_resolve():
     rng = np.random.default_rng(101)
     triangles = strip_triangles(rng, 6)
     E = random_element_matrices(rng, len(triangles))
-    Q = tangent_basis(rng.standard_normal((5, 3, 2)))
+    Q = tangent_basis(rng.standard_normal((5, 3, 2)))[0]
     rhs = rng.standard_normal(45)
     first = TangentSystem(triangles, E, np.arange(1, 6))
     second = TangentSystem(triangles.copy(), E.copy(), np.arange(1, 6))
@@ -218,7 +229,7 @@ def test_singular_system_raises():
     triangles = strip_triangles(rng, 4)
     system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
     with pytest.raises(SaddleSolveError):
-        system.solve(tangent_basis(rng.standard_normal((4, 3, 2))), np.ones(36))
+        system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
 
 
 def test_shape_mismatch_raises():
