@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from .constraints import cross
 from .dkt import (DeformationField, DktDofMap, ElementOperators, element_operators,
                   local_scalar_dofs, vertex_lumped_masses)
+from .linsolve import vertex_pair_blocks
 from .mesh import TriangleMesh
 
 MODES = ("isometry_flow", "penalized_flow")
@@ -80,17 +81,37 @@ def force_vertex_values(mesh: TriangleMesh, f: ForceLike) -> np.ndarray:
 
 def assemble_bending_stiffness(mesh: TriangleMesh, dofmap: DktDofMap | None = None,
                                ops: ElementOperators | None = None) -> sp.csr_matrix:
-    """Global symmetric matrix K with 1/2 y^T K y = 1/2 ||grad theta(y)||^2."""
+    """Global symmetric matrix K with 1/2 y^T K y = 1/2 ||grad theta(y)||^2.
+
+    K couples the dofs 9 i + 3 c + k and 9 j + 3 c + l of two vertices that
+    share a triangle through entry (k, l) of the summed element block S_ij
+    of the pair, for each component c.  Its CSR pattern is written in sorted
+    order from the vertex pairs.
+    """
     if ops is None:
         ops = element_operators(mesh)
     if dofmap is None:
         dofmap = DktDofMap.from_mesh(mesh)
-    idx = ops.scalar_dof_indices  # (F, 3c, 9)
-    rows = np.repeat(idx, 9, axis=2).reshape(-1)
-    cols = np.tile(idx, (1, 1, 9)).reshape(-1)
-    data = np.tile(ops.bending[:, None, :, :], (1, 3, 1, 1)).reshape(-1)
-    K = sp.coo_matrix((data, (rows, cols)), shape=(dofmap.num_dofs, dofmap.num_dofs))
-    return K.tocsr()
+    V = dofmap.num_vertices
+    # the pairs (i, j) sorted by column j, then row i, are the pairs (j, i)
+    # sorted by row, then column, whose block is S_ij^T
+    cols, rows, blocks = vertex_pair_blocks(mesh.triangles, ops.bending, np.arange(V))
+    num_pairs = len(rows)
+    degree = np.bincount(rows, minlength=V)
+    first = np.concatenate([[0], np.cumsum(degree)[:-1]])
+    # row 9 v + 3 c + k holds three entries for each pair of v in turn
+    indptr = np.append(27 * first[:, None] + 3 * degree[:, None] * np.arange(9),
+                       27 * num_pairs)
+    starts = (indptr[:-1].reshape(V, 9)[rows]
+              + 3 * (np.arange(num_pairs) - first[rows])[:, None])
+    positions = starts[:, :, None] + np.arange(3)                 # (pairs, 3 c + k, l)
+    indices = np.empty(27 * num_pairs, dtype=np.int32)
+    indices[positions] = (9 * cols[:, None, None] + np.arange(0, 9, 3).repeat(3)[:, None]
+                          + np.arange(3))
+    data = np.empty(27 * num_pairs)
+    data[positions] = np.tile(blocks.transpose(0, 2, 1), (1, 3, 1))
+    return sp.csr_matrix((data, indices, indptr.astype(np.int32)),
+                         shape=(dofmap.num_dofs, dofmap.num_dofs))
 
 
 def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,

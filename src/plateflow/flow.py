@@ -14,9 +14,12 @@ lumped mass on the third-component values).  The reduced matrix is symmetric
 positive definite, so a step is one sparse SPD solve.  Its pattern is the same
 in every step, so the flow builds it once, at construction, as a
 `linsolve.TangentSystem`: the element bending blocks summed per vertex pair,
-the fixed pattern of the reduced matrix and a minimum degree order of the
-mesh's vertex graph, which numbers the free vertices and the free dofs.  A
-step computes the basis and the degeneracy check in one pass over the nodal
+the fixed pattern of the reduced matrix, an order of the mesh's vertex graph,
+which numbers the free vertices and the free dofs, and the factorization.  A
+reverse Cuthill-McKee order whose band is narrow enough is kept and factored
+with LAPACK's band Cholesky; otherwise the vertices take a minimum degree
+order and SuperLU factors.  The choice reads only the pattern.  A step
+computes the basis and the degeneracy check in one pass over the nodal
 frames, gathers the blocks of the reduced matrix into that pattern and
 factors it.  The new iterate is then evaluated once (`GradientFlow._evaluate`):
 its energies, and r_nl + r_pen, which the next step takes as its explicit

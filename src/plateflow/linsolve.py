@@ -12,14 +12,21 @@ is block-diagonal: the identity on the three value dofs of a vertex and a 6x3
 kernel block on its six gradient dofs.  So R is made of 6x6 blocks
 R_ij = Z_i^T A_ij Z_j on those vertex pairs, and its pattern never changes.
 `TangentSystem` builds that pattern once, in compressed sparse column form,
-in a fill-reducing order of the vertices (minimum degree on the vertex
-graph); a step computes the blocks with a few batched small products,
-gathers them into the pattern through a source index fixed at set-up and
-factors R with diagonal pivots.  The value-value part of a block is
-S_ij[0, 0] times the identity, so its off-diagonal entries are exact zeros
-and are not stored.  A single step of iterative refinement keeps the solve
-within its normwise backward-error contract.  Factorizations are
-deterministic: identical inputs yield bit-identical solutions.
+and chooses at the same time how every step factors R, from the pattern
+alone.  In a reverse Cuthill-McKee order of the vertex graph (Cuthill &
+McKee, 1969; George & Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981) R is a band matrix with kd = 6 b + 5 subdiagonals,
+b the largest distance between the numbers of two neighbouring vertices.
+When kd is small the vertices keep that order and R is factored with
+LAPACK's band Cholesky (`dpbtrf`); otherwise they are numbered by two
+minimum degree passes and R is factored by SuperLU with diagonal pivots.
+Either way a step computes the blocks with a few batched small products and
+gathers them into the pattern through a source index fixed at set-up.  The
+value-value part of a block is S_ij[0, 0] times the identity, so its
+off-diagonal entries are exact zeros and are not stored.  A single step of
+iterative refinement keeps the solve within its normwise backward-error
+contract.  Factorizations are deterministic: identical inputs yield
+bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -27,11 +34,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # ||R u - b||_inf <= BACKWARD_ERROR_TOL (||R||_inf ||u||_inf + ||b||_inf).
 # Measured backward errors of the flow steps are at most 5e-16 (levels 1-4,
 # cantilever loads); the tolerance sits three orders of magnitude above them.
 BACKWARD_ERROR_TOL = 1e-12
+
+# The widest band, in subdiagonals kd, that is factored as a band.  The kd
+# of the reverse Cuthill-McKee order are 71, 119, 215 and 407 on the O-shape
+# meshes of levels 1-4, 65, 107, 209 and 401 on the rectangle meshes.
+# Up to kd 119 the band step is the faster one (level 2: 8.7 against 16.2 ms
+# per step on the O-shape, 12.7 against 40 ms on the rectangle).  At kd 215
+# it is the slower one (O-shape level 3: 109 against 75 ms): the band costs
+# about N kd^2 flops for N unknowns whatever the graph, and the threaded
+# BLAS-3 kernels inside `dpbtrf` do not pay off at these widths.  At level 4
+# the band would also take about 130 MB, against about 70 MB for SuperLU's L
+# and U.  The bound sits inside the gap between 119 and 209.
+_MAX_BAND_KD = 160
 
 # The 30 stored entries (row a, column b) of a 6x6 block R_ij, in the order
 # `TangentSystem._block_values` packs them: value-value diagonal, value rows
@@ -52,10 +73,45 @@ _ROW_OFFSET = np.where(_BLOCK_COLS < 3,
 # the entry (b, a) of each stored entry (a, b)
 _ENTRY = {(a, b): e for e, (a, b) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS))}
 _TRANSPOSED = np.array([_ENTRY[b, a] for a, b in zip(_BLOCK_ROWS, _BLOCK_COLS)])
+# (30, 12): multiplied by the absolute stored entries of a block, its six row
+# sums, then its six column sums
+_ROW_COL_SUMS = np.concatenate([_BLOCK_ROWS[:, None] == np.arange(6),
+                                _BLOCK_COLS[:, None] == np.arange(6)], axis=1).astype(float)
 
 
 class SaddleSolveError(RuntimeError):
     """The factorization failed or the residual contract could not be met."""
+
+
+def vertex_pair_blocks(triangles, element_matrices, vertices):
+    """The pairs of `vertices` that share a triangle, and their summed blocks.
+
+    Returns (rows, cols, blocks): the pairs (rows[p], cols[p]), as positions in
+    `vertices`, sorted by column, then row, and the 3x3 block S_p that the
+    element matrices (F x 9 x 9, local dof 3 * vertex + kind) give the pair:
+    entry (k, l) sums the entries (f, 3 a + k, 3 b + l) over the triangles f
+    with vertex rows[p] at a and cols[p] at b.  Pairs with a vertex that is
+    not listed are left out.
+    """
+    n = len(vertices)
+    local = np.full(max(triangles.max(), vertices.max()) + 1, -1)
+    local[vertices] = np.arange(n)
+    tri = local[triangles]
+    # the vertex pair (tri[p], tri[q]) of each (triangle, p, q); pairs with a
+    # vertex that is not listed go to one extra key past the others
+    i = np.repeat(tri, 3, axis=1)
+    j = np.tile(tri, 3)
+    keys, pair_of = np.unique(np.where((i >= 0) & (j >= 0), j * n + i, n * n),
+                              return_inverse=True)
+    # one bincount: entry (f, 3p + k, 3q + l) adds to entry (k, l) of the
+    # pair of (f, p, q)
+    target = (9 * pair_of.reshape(-1, 3, 1, 3, 1)
+              + np.arange(0, 9, 3)[:, None, None] + np.arange(3))
+    blocks = np.bincount(target.reshape(-1), weights=element_matrices.reshape(-1),
+                         minlength=9 * len(keys))
+    num_pairs = int(np.searchsorted(keys, n * n))
+    keys = keys[:num_pairs]
+    return keys % n, keys // n, blocks[:9 * num_pairs].reshape(-1, 3, 3)
 
 
 def _factor(M, permc_spec):
@@ -64,16 +120,68 @@ def _factor(M, permc_spec):
                      options=dict(SymmetricMode=True))
 
 
-def _minimum_degree_rank(rows, cols, n) -> np.ndarray:
-    """Position of each vertex in a minimum degree order of the graph whose
-    edges (rows[p], cols[p]) are sorted by column, then row, and include the
-    diagonal.  The order is read off a factorization of a diagonally dominant
-    matrix with that pattern."""
+def _superlu(R):
+    """SuperLU factorization of R in its own order."""
+    try:
+        return _factor(R, "NATURAL")
+    except (RuntimeError, ValueError) as exc:
+        raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
+
+
+def _graph(rows, cols, n):
+    """A diagonally dominant CSC matrix whose pattern is the graph with the
+    edges (rows[p], cols[p]), sorted by column, then row, and including the
+    diagonal."""
     degree = np.bincount(cols, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(degree)])
     data = np.where(rows == cols, degree[cols] + 1.0, 1.0)
-    graph = sp.csc_matrix((data, rows, indptr), shape=(n, n))
-    return _factor(graph, "MMD_AT_PLUS_A").perm_c.astype(np.int64)
+    return sp.csc_matrix((data, rows, indptr), shape=(n, n))
+
+
+def _minimum_degree_rank(rows, cols, n) -> np.ndarray:
+    """Position of each vertex in a minimum degree order of the graph, read
+    off a factorization of its matrix."""
+    return _factor(_graph(rows, cols, n), "MMD_AT_PLUS_A").perm_c.astype(np.int64)
+
+
+def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
+    """Position of each vertex in a reverse Cuthill-McKee order of the graph."""
+    order = reverse_cuthill_mckee(_graph(rows, cols, n), symmetric_mode=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return rank
+
+
+class _BandCholesky:
+    """LAPACK band Cholesky factorization of matrices on the pattern of `R`,
+    whose lower triangle lies within `kd` subdiagonals.
+
+    Calling it with a matrix on that pattern factors the matrix into a band
+    array allocated once, replacing the previous factorization, and returns
+    the factorization.
+    """
+
+    def __init__(self, R, kd):
+        N = R.shape[0]
+        cols = np.repeat(np.arange(N), np.diff(R.indptr))
+        self._lower = np.flatnonzero(R.indices >= cols)
+        # row j holds column j of the band, entry (i, j) at i - j; its
+        # transpose is the Fortran-ordered array that LAPACK reads
+        self._columns = np.zeros((N, kd + 1))
+        self._positions = (kd + 1) * cols[self._lower] + R.indices[self._lower] - cols[self._lower]
+
+    def __call__(self, R):
+        columns = self._columns
+        columns.fill(0.0)
+        columns.reshape(-1)[self._positions] = R.data[self._lower]
+        _, info = lapack.dpbtrf(columns.T, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise SaddleSolveError(f"band Cholesky factorization failed (info {info}): "
+                                   "the matrix is not positive definite")
+        return self
+
+    def solve(self, b):
+        return lapack.dpbtrs(self._columns.T, b, lower=1)[0]
 
 
 class TangentSystem:
@@ -89,49 +197,37 @@ class TangentSystem:
     `vertices` holds the free vertices in the elimination order chosen here;
     every per-vertex array passed to `assemble` and `solve` and every dof
     vector follows it, nine dofs (component-major, then value, d1, d2) per
-    vertex.
+    vertex.  The order is a reverse Cuthill-McKee order when R has at most
+    `_MAX_BAND_KD` subdiagonals in it, and R is then factored as a band;
+    otherwise it is a minimum degree order, and SuperLU factors R.
     """
 
     def __init__(self, triangles, element_matrices, free_vertices,
                  value_diagonal=None):
         n = len(free_vertices)
-        local = np.full(max(triangles.max(), free_vertices.max()) + 1, -1)
-        local[free_vertices] = np.arange(n)
-        tri = local[triangles]
-        # the vertex pair (i, j) = (tri[p], tri[q]) of each (triangle, p, q),
-        # sorted by column, then row; pairs with a vertex that is not free go
-        # to one extra key past the others, which is dropped
-        i = np.repeat(tri, 3, axis=1)
-        j = np.tile(tri, 3)
-        keys, pair_of = np.unique(np.where((i >= 0) & (j >= 0), j * n + i, n * n),
-                                  return_inverse=True)
-        keys = keys[keys < n * n]
-        num_pairs = len(keys)
-        rows, cols = keys % n, keys // n
+        rows, cols, blocks = vertex_pair_blocks(triangles, element_matrices, free_vertices)
+        num_pairs = len(rows)
 
-        # Number the vertices in a minimum degree order of their graph and
-        # sort the pairs again.  Minimum degree breaks ties by the numbering
-        # it is given, so this runs twice, the second time from the first
-        # order: on the O-shape meshes that fills less at levels 1, 2 and 4
-        # (45 984 -> 43 740, 210 096 -> 205 026 and 5.95 -> 5.89 million
-        # stored entries of L and U) and 0.6 % more at level 3.
+        # Number the vertices and sort the pairs again.  A vertex spans six
+        # unknowns of R, so in the reverse Cuthill-McKee order R has
+        # 6 b + 5 subdiagonals, b the largest difference of the numbers of two
+        # neighbours; a narrow band keeps that order.  Otherwise the order is
+        # minimum degree, which breaks ties by the numbering it is given, so
+        # it runs twice, the second time from the first order: on the O-shape
+        # meshes that fills less at levels 1, 2 and 4 (45 984 -> 43 740,
+        # 210 096 -> 205 026 and 5.95 -> 5.89 million stored entries of L and
+        # U) and 0.6 % more at level 3.
+        rcm = _reverse_cuthill_mckee_rank(rows, cols, n)
+        kd = 6 * int(np.abs(rcm[rows] - rcm[cols]).max(initial=0)) + 5
+        banded = kd <= _MAX_BAND_KD
         rank = np.arange(n)                 # vertex number of each local vertex
-        pair = np.arange(num_pairs)         # index into keys of each sorted pair
-        for _ in range(2):
-            renumber = _minimum_degree_rank(rows, cols, n)
+        pair = np.arange(num_pairs)         # index into the pairs of each sorted pair
+        for _ in range(1 if banded else 2):
+            renumber = rcm if banded else _minimum_degree_rank(rows, cols, n)
             rank, rows, cols = renumber[rank], renumber[rows], renumber[cols]
             order = np.argsort(cols * n + rows)
             rows, cols, pair = rows[order], cols[order], pair[order]
         self.vertices = free_vertices[np.argsort(rank)]
-        position = np.full(num_pairs + 1, num_pairs)
-        position[pair] = np.arange(num_pairs)
-
-        # S_ij: one bincount over the element matrices, whose entry
-        # (f, 3p + k, 3q + l) adds to entry (k, l) of the pair of (f, p, q)
-        target = (9 * position[pair_of].reshape(-1, 3, 1, 3, 1)
-                  + np.arange(0, 9, 3)[:, None, None] + np.arange(3))
-        blocks = np.bincount(target.reshape(-1), weights=element_matrices.reshape(-1),
-                             minlength=9 * (num_pairs + 1))[:9 * num_pairs]
 
         # CSC pattern: column 6 j + b holds, for each pair (i, j) in turn, the
         # stored rows of block column b; the pair's rank in its column follows
@@ -161,7 +257,13 @@ class TangentSystem:
         self._source = np.empty(30 * num_pairs, dtype=np.intp)
         self._source[positions[mirror[:, None], _TRANSPOSED]] = entries
         self._source[positions[upper]] = entries
-        self._blocks = blocks.reshape(num_pairs, 3, 3)[upper]
+        self._blocks = blocks[pair[upper]]
+        # the rows of R that the six row sums and the six column sums of each
+        # block add to in ||R||_inf: 6 i + a, then 6 j + b
+        self._sum_target = np.concatenate([6 * self._rows[:, None] + np.arange(6),
+                                           6 * self._cols[:, None] + np.arange(6)],
+                                          axis=1).reshape(-1)
+        self._factorize = _BandCholesky(self.R, kd) if banded else _superlu
         self._value_diagonal = (None if value_diagonal is None
                                 else np.asarray(value_diagonal)[self.vertices])
 
@@ -188,21 +290,34 @@ class TangentSystem:
             values[self._diagonal_pairs, :3] += self._value_diagonal
         return values
 
-    def assemble(self, Q) -> None:
+    def _inf_norm(self, values) -> float:
+        """||R||_inf from the stored entries of the blocks R_ij with i <= j:
+        each block adds its absolute row sums to the rows of vertex i and,
+        transposed, its absolute column sums to the rows of vertex j; a
+        diagonal block adds its row sums only."""
+        sums = np.abs(values) @ _ROW_COL_SUMS
+        sums[self._diagonal_pairs, 6:] = 0.0
+        return float(np.bincount(self._sum_target, weights=sums.reshape(-1),
+                                 minlength=6 * len(self.vertices)).max(initial=0.0))
+
+    def assemble(self, Q) -> np.ndarray:
         """Write R = Z^T A Z for the kernel blocks Q (vertices x 3 x 2 x 3,
         entry [v, c, k, j]: the d_(k+1) w_c coefficient of kernel column j)
-        into `R`."""
+        into `R`, and return the stored entries of its blocks R_ij with
+        i <= j, shape (pairs, 30)."""
         if Q.shape != (len(self.vertices), 3, 2, 3):
             raise ValueError(f"kernel blocks of shape {Q.shape} do not match "
                              f"{len(self.vertices)} vertices")
-        np.take(self._block_values(Q).reshape(-1), self._source, out=self.R.data,
-                mode="clip")
+        values = self._block_values(Q)
+        np.take(values.reshape(-1), self._source, out=self.R.data, mode="clip")
+        return values
 
     def solve(self, Q, rhs) -> np.ndarray:
         """Return the dofs d = Z u with (Z^T A Z) u = Z^T rhs.
 
         A must be positive definite on the range of Z.  R is factorized in the
-        order of `vertices`, with no further reordering.  Raises
+        order of `vertices`, with no further reordering, as a band or by
+        SuperLU as chosen at construction.  Raises
         SaddleSolveError on a numerically singular factorization or an unmet
         backward-error bound (never silent garbage).
         """
@@ -210,7 +325,7 @@ class TangentSystem:
         rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
         if rhs.size != 9 * n:
             raise ValueError(f"rhs of length {rhs.size} does not match {n} vertices")
-        self.assemble(Q)
+        values = self.assemble(Q)
         R = self.R
         r = rhs.reshape(n, 3, 3)
         b = np.empty((n, 6))
@@ -218,15 +333,11 @@ class TangentSystem:
         Q = Q.reshape(n, 6, 3)
         b[:, 3:] = np.matmul(r[:, :, 1:].reshape(n, 1, 6), Q)[:, 0]
         b = b.reshape(-1)
-        try:
-            lu = _factor(R, "NATURAL")
-        except (RuntimeError, ValueError) as exc:
-            raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
-        u = lu.solve(b)
+        factorization = self._factorize(R)
+        u = factorization.solve(b)
         if not np.isfinite(u).all():
             raise SaddleSolveError("factorization produced non-finite values")
-        norm_R = float(np.bincount(R.indices, weights=np.abs(R.data),
-                                   minlength=6 * n).max(initial=0.0))
+        norm_R = self._inf_norm(values)
         norm_b = float(np.abs(b).max(initial=0.0))
 
         def backward_error(u):
@@ -236,7 +347,7 @@ class TangentSystem:
 
         resid, err = backward_error(u)
         if err > BACKWARD_ERROR_TOL:
-            u = u + lu.solve(resid)  # one refinement step
+            u = u + factorization.solve(resid)  # one refinement step
             resid, err = backward_error(u)
             if err > BACKWARD_ERROR_TOL:
                 raise SaddleSolveError(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plateflow import dkt, mesh as pm
 from plateflow.constraints import tangent_basis
@@ -115,6 +116,18 @@ def scattered_data(system, values):
     off = system._rows != system._cols
     data[np.searchsorted(keys, rows[off] * N + cols[off])] = values[off]
     return data
+
+
+def coo_bending_stiffness(mesh):
+    """The bending stiffness K assembled from a COO list of the 81 entries of
+    each element block and component, which `tocsr` sorts and sums."""
+    ops = dkt.element_operators(mesh)
+    idx = ops.scalar_dof_indices  # (F, 3c, 9)
+    rows = np.repeat(idx, 9, axis=2).reshape(-1)
+    cols = np.tile(idx, (1, 1, 9)).reshape(-1)
+    data = np.tile(ops.bending[:, None, :, :], (1, 3, 1, 1)).reshape(-1)
+    n = 9 * mesh.num_vertices
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from plateflow import dkt, energy as en, mesh as pm
 from plateflow.dkt import flat_embedding, interpolate_dkt
 from plateflow.energy import SimulationParams
 
-from conftest import (EPS, cylinder_map, flat_energy_rounding_scale, nonlinear_energy_term,
+from conftest import (EPS, coo_bending_stiffness, cylinder_map, flat_energy_rounding_scale,
+                      nonlinear_energy_term,
                       nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
                       penalty_rhs, random_field, residual_rounding_scale)
 
@@ -41,6 +42,23 @@ def test_stiffness_annihilates_flat_state(rect_l2, rect_l2_symmetric):
         centre = int(np.argmin(np.linalg.norm(mesh.vertices, axis=1)))
         bent.nodal()[centre, 2, 1] += 1e-3
         assert np.abs(K @ bent.dofs).max() >= 1e6 * bound.max()
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("pattern", ["nonsymmetric", "symmetric"])
+@pytest.mark.parametrize("domain", ["rectangle", "oshape"])
+def test_stiffness_matches_coo_assembly(domain, pattern, level):
+    # K written from the summed vertex-pair blocks has the sorted pattern of
+    # the COO assembly of the element blocks and the same entries up to the
+    # order of summation
+    generate = pm.generate_rectangle_mesh if domain == "rectangle" else pm.generate_oshape_mesh
+    mesh = generate(level, pattern)
+    K = en.assemble_bending_stiffness(mesh)
+    expected = coo_bending_stiffness(mesh)
+    assert K.has_sorted_indices
+    assert np.array_equal(K.indptr, expected.indptr)
+    assert np.array_equal(K.indices, expected.indices)
+    assert np.abs(K.data - expected.data).max() <= 1e-15 * np.abs(expected.data).max()
 
 
 def test_stiffness_symmetry(rect_l2):

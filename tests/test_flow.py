@@ -174,30 +174,56 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_flow_orders_tangent_system(level):
-    # the flow numbers the free vertices once, in a fill-reducing order, and
-    # every step factors in that order; it fills no more than a minimum
-    # degree ordering of the step's own matrix, in that order or in dof order
+    # at levels 1-2 the flow numbers the free vertices once, in a band order,
+    # and every step factors R as a band: the order is a permutation of the
+    # free vertices, and R in it has exactly the half-bandwidth of the
+    # band factorization
     run = resolve(RunConfig(experiment="oshape", level=level))
     flow = GradientFlow(run.mesh, run.params)
     assert np.array_equal(np.sort(flow.free_vertices), flow.dofmap.free_vertices)
     assert np.array_equal(np.sort(flow.free), flow.dofmap.free_indices)
+    factorization = flow.system._factorize
+    assert isinstance(factorization, linsolve._BandCholesky)
+    R = flow.system.R.tocoo()
+    N, band_rows = factorization._columns.shape
+    assert N == R.shape[0]
+    assert (R.row - R.col).max() == band_rows - 1
     y = flow.step(flow.initial_state(run.initial)).y
+    assert np.isfinite(y.dofs).all()
 
-    # the matrix the flow factors in the next step, and the same matrix with
-    # its unknowns in dof order
-    flow.system.assemble(tangent_basis(y.gradients()[flow.free_vertices])[0])
+
+def test_minimum_degree_order_fills_no_more_than_superlu_order():
+    # at O-shape level 3 the band is too wide, and R is factored by SuperLU
+    # in the minimum degree order of the vertices; it fills no more than
+    # SuperLU's own minimum degree order of the same matrix
+    run = resolve(RunConfig(experiment="oshape", level=3))
+    flow = GradientFlow(run.mesh, run.params)
+    assert flow.system._factorize is linsolve._superlu
+    flow.system.assemble(tangent_basis(run.initial.gradients()[flow.free_vertices])[0])
     R = flow.system.R
-    in_dof_order = np.argsort(flow.free_vertices)
-    unknowns = (6 * in_dof_order[:, None] + np.arange(6)).reshape(-1)
-    R_dof_order = R[unknowns][:, unknowns].tocsc()
 
-    def fill(M, spec):
-        return spla.splu(M, permc_spec=spec, diag_pivot_thresh=0.0,
+    def fill(spec):
+        return spla.splu(R, permc_spec=spec, diag_pivot_thresh=0.0,
                          options=dict(SymmetricMode=True)).nnz
 
-    ordered = fill(R, "NATURAL")
-    assert ordered <= fill(R, "MMD_AT_PLUS_A")
-    assert ordered <= fill(R_dof_order, "MMD_AT_PLUS_A")
+    assert fill("NATURAL") <= fill("MMD_AT_PLUS_A")
+
+
+@pytest.mark.parametrize("experiment", ["oshape", "rectangle"])
+def test_factorization_chosen_from_the_pattern(experiment):
+    # levels 1-2 are factored as a band, levels 3-4 by SuperLU; a system
+    # rebuilt from copies of its inputs takes the same side and order
+    for level in (1, 2, 3, 4):
+        run = resolve(RunConfig(experiment=experiment, level=level))
+        mesh = run.mesh
+        flow = GradientFlow(mesh, run.params)
+        banded = isinstance(flow.system._factorize, linsolve._BandCholesky)
+        assert banded == (level <= 2), level
+        again = linsolve.TangentSystem(mesh.triangles.copy(),
+                                       (1.0 + run.params.tau) * flow.ops.bending.copy(),
+                                       flow.dofmap.free_vertices.copy())
+        assert isinstance(again._factorize, linsolve._BandCholesky) == banded
+        assert np.array_equal(again.vertices, flow.free_vertices)
 
 
 @pytest.mark.parametrize("mode", ["isometry_flow", "penalized_flow"])

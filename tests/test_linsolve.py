@@ -66,6 +66,24 @@ def constraint_matrix(grads):
     return B
 
 
+# `_MAX_BAND_KD` values that send every system to one side: the band
+# Cholesky or SuperLU
+SIDES = {"band": 10**9, "superlu": -1}
+
+
+def on_each_side(monkeypatch):
+    """Yield the name of each factorization side in turn; a TangentSystem
+    built in the loop body takes that side."""
+    for side, max_kd in SIDES.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve, "_MAX_BAND_KD", max_kd)
+            yield side
+
+
+def side_of(system):
+    return "band" if isinstance(system._factorize, linsolve._BandCholesky) else "superlu"
+
+
 def random_case(rng, num_vertices, scale=1.0, value_diagonal=None):
     """A system on random triangles whose vertex 0 is not free, the dense A it
     describes, and the kernel blocks and constraint rows of random gradients."""
@@ -159,77 +177,100 @@ def test_singular_direction_removed_by_constraint():
     assert np.allclose(lam0, rhs[d2_dofs])
 
 
-def test_residual_contract():
-    # normwise backward error of the reduced system, invariant to its scale
-    for scale in (1.0, 1e-12, 1e12):
-        rng = np.random.default_rng(89)
-        system, A, Q, _ = random_case(rng, 9, scale=scale)
-        rhs = rng.standard_normal(A.shape[0])
-        d = system.solve(Q, rhs)
-        Z = dense_basis(Q)
-        R = Z.T @ A @ Z
-        u = Z.T @ d
-        b = Z.T @ rhs
-        err = np.abs(R @ u - b).max() / (
-            np.abs(R).sum(axis=1).max() * np.abs(u).max() + np.abs(b).max())
-        assert err <= linsolve.BACKWARD_ERROR_TOL
+def test_residual_contract(monkeypatch):
+    # normwise backward error of the reduced system, invariant to its scale,
+    # on both sides
+    for side in on_each_side(monkeypatch):
+        for scale in (1.0, 1e-12, 1e12):
+            rng = np.random.default_rng(89)
+            system, A, Q, _ = random_case(rng, 9, scale=scale)
+            assert side_of(system) == side
+            rhs = rng.standard_normal(A.shape[0])
+            d = system.solve(Q, rhs)
+            Z = dense_basis(Q)
+            R = Z.T @ A @ Z
+            u = Z.T @ d
+            b = Z.T @ rhs
+            err = np.abs(R @ u - b).max() / (
+                np.abs(R).sum(axis=1).max() * np.abs(u).max() + np.abs(b).max())
+            assert err <= linsolve.BACKWARD_ERROR_TOL, side
+
+
+def test_norm_from_blocks(monkeypatch):
+    # ||R||_inf from the row and column sums of the blocks equals the largest
+    # absolute row sum of the gathered matrix, with and without a value
+    # diagonal, on both sides
+    rng = np.random.default_rng(157)
+    for side in on_each_side(monkeypatch):
+        for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
+            system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
+            assert side_of(system) == side
+            values = system.assemble(Q)
+            expected = abs(system.R).sum(axis=1).max()
+            assert abs(system._inf_norm(values) - expected) <= 1e-14 * expected
 
 
 def test_corrupted_factorization_rejected(monkeypatch):
     # a factorization of a perturbed matrix misses the contract even after
-    # the refinement step, and the solve must refuse its answer
-    rng = np.random.default_rng(113)
-    system, A, Q, _ = random_case(rng, 7)
-    rhs = rng.standard_normal(A.shape[0])
-    genuine = linsolve.spla
+    # the refinement step, and the solve must refuse its answer, whichever
+    # factorization runs
+    for side in on_each_side(monkeypatch):
+        rng = np.random.default_rng(113)
+        system, A, Q, _ = random_case(rng, 7)
+        assert side_of(system) == side
+        rhs = rng.standard_normal(A.shape[0])
+        genuine = system._factorize
 
-    class CorruptedSpla:
-        def __getattr__(self, attr):
-            return getattr(genuine, attr)
+        def corrupted(R, genuine=genuine):
+            perturbed = R.copy()
+            columns = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+            perturbed.data[R.indices == columns] += 1e-3 * np.abs(R.data).max()
+            return genuine(perturbed)
 
-        @staticmethod
-        def splu(R, **kwargs):
-            perturbed = R + 1e-3 * abs(R).max() * linsolve.sp.identity(R.shape[0])
-            return genuine.splu(perturbed.tocsc(), **kwargs)
-
-    monkeypatch.setattr(linsolve, "spla", CorruptedSpla())
-    with pytest.raises(SaddleSolveError):
-        system.solve(Q, rhs)
+        system._factorize = corrupted
+        with pytest.raises(SaddleSolveError):
+            system.solve(Q, rhs)
 
 
-def test_basis_invariance():
+def test_basis_invariance(monkeypatch):
     # re-signed or rotated kernel directions span the same space: same d
-    rng = np.random.default_rng(97)
-    system, A, Q, _ = random_case(rng, 5)
-    rhs = rng.standard_normal(A.shape[0])
-    d1 = system.solve(Q, rhs)
-    rotations = []
-    for _ in range(len(Q)):
-        O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        rotations.append(O * rng.choice([-1.0, 1.0], size=3))
-    d2 = system.solve(Q @ np.array(rotations)[:, None], rhs)
-    assert np.abs(d1 - d2).max() < 1e-10 * np.abs(d1).max()
+    for side in on_each_side(monkeypatch):
+        rng = np.random.default_rng(97)
+        system, A, Q, _ = random_case(rng, 5)
+        assert side_of(system) == side
+        rhs = rng.standard_normal(A.shape[0])
+        d1 = system.solve(Q, rhs)
+        rotations = []
+        for _ in range(len(Q)):
+            O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            rotations.append(O * rng.choice([-1.0, 1.0], size=3))
+        d2 = system.solve(Q @ np.array(rotations)[:, None], rhs)
+        assert np.abs(d1 - d2).max() < 1e-10 * np.abs(d1).max(), side
 
 
-def test_deterministic_resolve():
-    rng = np.random.default_rng(101)
-    triangles = strip_triangles(rng, 6)
-    E = random_element_matrices(rng, len(triangles))
-    Q = tangent_basis(rng.standard_normal((5, 3, 2)))[0]
-    rhs = rng.standard_normal(45)
-    first = TangentSystem(triangles, E, np.arange(1, 6))
-    second = TangentSystem(triangles.copy(), E.copy(), np.arange(1, 6))
-    d1 = first.solve(Q, rhs)
-    assert np.array_equal(d1, first.solve(Q.copy(), rhs.copy()))
-    assert np.array_equal(d1, second.solve(Q.copy(), rhs.copy()))
+def test_deterministic_resolve(monkeypatch):
+    for side in on_each_side(monkeypatch):
+        rng = np.random.default_rng(101)
+        triangles = strip_triangles(rng, 6)
+        E = random_element_matrices(rng, len(triangles))
+        Q = tangent_basis(rng.standard_normal((5, 3, 2)))[0]
+        rhs = rng.standard_normal(45)
+        first = TangentSystem(triangles, E, np.arange(1, 6))
+        second = TangentSystem(triangles.copy(), E.copy(), np.arange(1, 6))
+        assert side_of(first) == side_of(second) == side
+        d1 = first.solve(Q, rhs)
+        assert np.array_equal(d1, first.solve(Q.copy(), rhs.copy())), side
+        assert np.array_equal(d1, second.solve(Q.copy(), rhs.copy())), side
 
 
-def test_singular_system_raises():
-    rng = np.random.default_rng(103)
-    triangles = strip_triangles(rng, 4)
-    system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
-    with pytest.raises(SaddleSolveError):
-        system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
+def test_singular_system_raises(monkeypatch):
+    for side in on_each_side(monkeypatch):
+        rng = np.random.default_rng(103)
+        triangles = strip_triangles(rng, 4)
+        system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
+        assert side_of(system) == side
+        with pytest.raises(SaddleSolveError):
+            system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
 
 
 def test_shape_mismatch_raises():
