@@ -458,7 +458,6 @@ class CubicEvaluator:
 class ElementOperators:
     """Stacked per-element operators reused across assembly and flow steps."""
 
-    gradient: np.ndarray      # (F, 12, 9) discrete-gradient maps
     bending: np.ndarray       # (F, 9, 9) per-component bending blocks
     divergence: np.ndarray    # (F, 3, 9) discrete Laplacian at vertices
     areas: np.ndarray         # (F,)
@@ -479,7 +478,7 @@ def element_operators(mesh: TriangleMesh) -> ElementOperators:
     idx = np.empty((len(ids), 3, 9), dtype=np.int64)
     for c in range(3):
         idx[:, c] = (base[:, :, None] + 3 * c + np.arange(3)[None, None, :]).reshape(len(ids), 9)
-    return ElementOperators(G, K9, D, triangle_areas(mesh.vertices, mesh.triangles), idx)
+    return ElementOperators(K9, D, triangle_areas(mesh.vertices, mesh.triangles), idx)
 
 
 def local_scalar_dofs(mesh: TriangleMesh, field: DeformationField) -> np.ndarray:

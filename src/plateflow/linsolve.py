@@ -11,30 +11,34 @@ each pair of dof kinds value, d1, d2), plus a diagonal on the value dofs.  Z
 is block-diagonal: the identity on the three value dofs of a vertex and a 6x3
 kernel block on its six gradient dofs.  So R is made of 6x6 blocks
 R_ij = Z_i^T A_ij Z_j on those vertex pairs, and its pattern never changes.
-`TangentSystem` builds that pattern once, in compressed sparse column form,
-and chooses at the same time how every step factors R, from the pattern
-alone.  In a reverse Cuthill-McKee order of the vertex graph (Cuthill &
-McKee, 1969; George & Liu, *Computer Solution of Large Sparse Positive
-Definite Systems*, 1981) R is a band matrix with kd = 6 b + 5 subdiagonals,
-b the largest distance between the numbers of two neighbouring vertices.
-When kd is small the vertices keep that order and R is factored with
-LAPACK's band Cholesky (`dpbtrf`); otherwise they are numbered by two
-minimum degree passes and R is factored by SuperLU with diagonal pivots.
-Either way a step computes the blocks with a few batched small products and
-gathers them into the pattern through a source index fixed at set-up.  The
-value-value part of a block is S_ij[0, 0] times the identity, so its
-off-diagonal entries are exact zeros and are not stored.  A single step of
-iterative refinement keeps the solve within its normwise backward-error
-contract.  Factorizations are deterministic: identical inputs yield
-bit-identical solutions.
+A step computes the blocks of the pairs i <= j with a few batched small
+products; the value-value part of a block is S_ij[0, 0] times the identity,
+so its off-diagonal entries are exact zeros and are not stored.
+
+`TangentSystem` fixes the pairs once, and chooses at the same time how every
+step factors R, from the pattern alone.  In a reverse Cuthill-McKee order of
+the vertex graph (Cuthill & McKee, 1969; George & Liu, *Computer Solution of
+Large Sparse Positive Definite Systems*, 1981) R is a band matrix with
+kd = 6 b + 5 subdiagonals, b the largest distance between the numbers of two
+neighbouring vertices.  When kd is small enough the vertices keep that order,
+a step scatters the blocks straight into a band array, at positions fixed at
+set-up, and LAPACK's band Cholesky (`dpbtrf`) factors it on one BLAS
+thread.  Otherwise the vertices are numbered by two minimum degree passes, a
+step gathers the blocks into a compressed sparse column matrix, and SuperLU
+factors it with diagonal pivots.  On both sides the residual R u and ||R||_inf
+are computed from the blocks.  A single step of iterative refinement keeps the
+solve within its normwise backward-error contract.  Factorizations are
+deterministic: identical inputs yield bit-identical solutions.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # ||R u - b||_inf <= BACKWARD_ERROR_TOL (||R||_inf ||u||_inf + ||b||_inf).
@@ -45,19 +49,26 @@ BACKWARD_ERROR_TOL = 1e-12
 # The widest band, in subdiagonals kd, that is factored as a band.  The kd
 # of the reverse Cuthill-McKee order are 71, 119, 215 and 407 on the O-shape
 # meshes of levels 1-4, 65, 107, 209 and 401 on the rectangle meshes.
-# Up to kd 119 the band step is the faster one (level 2: 8.7 against 16.2 ms
-# per step on the O-shape, 12.7 against 40 ms on the rectangle).  At kd 215
-# it is the slower one (O-shape level 3: 109 against 75 ms): the band costs
-# about N kd^2 flops for N unknowns whatever the graph, and the threaded
-# BLAS-3 kernels inside `dpbtrf` do not pay off at these widths.  At level 4
-# the band would also take about 130 MB, against about 70 MB for SuperLU's L
-# and U.  The bound sits inside the gap between 119 and 209.
-_MAX_BAND_KD = 160
+# Median factorization times in ms (2 cores, 4 warm-up steps):
+#
+#   mesh, level    kd   dpbtrf, 2 threads   dpbtrf, 1 thread   SuperLU
+#   O-shape 1      71   0.80                0.43               1.56
+#   O-shape 2     119   4.1                 3.0                7.6
+#   O-shape 3     215   42-44               33                 50
+#   rectangle 3   209   59-73               48                 261
+#   O-shape 4     407   337-381             261                382
+#
+# The band runs on one thread (`_one_blas_thread`), and then wins at every
+# level.  Level 4 stays with SuperLU all the same, for memory: the band array
+# holds N (kd + 1) doubles for N unknowns, 121 MiB on the O-shape at level 4
+# (916 MiB at level 5), against about 70 MB of SuperLU's L and U, which are
+# freed after every step.  The bound sits inside the gap between 215 and 401.
+_MAX_BAND_KD = 300
 
 # The 30 stored entries (row a, column b) of a 6x6 block R_ij, in the order
-# `TangentSystem._block_values` packs them: value-value diagonal, value rows
-# by kernel columns, kernel rows by value columns, kernel-kernel.  Unknowns
-# 0-2 of a vertex are its three values, 3-5 its kernel coefficients.
+# `TangentSystem.assemble` packs them: value-value diagonal, value rows by
+# kernel columns, kernel rows by value columns, kernel-kernel.  Unknowns 0-2
+# of a vertex are its three values, 3-5 its kernel coefficients.
 _C, _M = np.divmod(np.arange(9, dtype=np.int32), 3)
 _V = np.arange(3, dtype=np.int32)
 _BLOCK_ROWS = np.concatenate([_V, _C, 3 + _M, 3 + _C])
@@ -78,9 +89,28 @@ _TRANSPOSED = np.array([_ENTRY[b, a] for a, b in zip(_BLOCK_ROWS, _BLOCK_COLS)])
 _ROW_COL_SUMS = np.concatenate([_BLOCK_ROWS[:, None] == np.arange(6),
                                 _BLOCK_COLS[:, None] == np.arange(6)], axis=1).astype(float)
 
+# OpenBLAS's thread count.  `cython_lapack` links the OpenBLAS that `lapack`
+# calls; in it this sets the count of the whole process and returns the
+# previous one.
+_set_blas_threads = ctypes.CDLL(cython_lapack.__file__).openblas_set_num_threads_local
+_set_blas_threads.argtypes = [ctypes.c_int]
+_set_blas_threads.restype = ctypes.c_int
+
 
 class SaddleSolveError(RuntimeError):
     """The factorization failed or the residual contract could not be met."""
+
+
+def _one_blas_thread(routine, *args, **kwargs):
+    """Call `routine` on one BLAS thread, then restore the caller's count.
+    At the widths of the tangent systems the threaded kernels inside the band
+    Cholesky cost more than they save, alone and far more when other
+    processes share the cores."""
+    previous = _set_blas_threads(1)
+    try:
+        return routine(*args, **kwargs)
+    finally:
+        _set_blas_threads(previous)
 
 
 def vertex_pair_blocks(triangles, element_matrices, vertices):
@@ -120,18 +150,11 @@ def _factor(M, permc_spec):
                      options=dict(SymmetricMode=True))
 
 
-def _superlu(R):
-    """SuperLU factorization of R in its own order."""
-    try:
-        return _factor(R, "NATURAL")
-    except (RuntimeError, ValueError) as exc:
-        raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
-
-
 def _graph(rows, cols, n):
     """A diagonally dominant CSC matrix whose pattern is the graph with the
-    edges (rows[p], cols[p]), sorted by column, then row, and including the
-    diagonal."""
+    edges (rows[p], cols[p]), both ways round and including the diagonal."""
+    order = np.argsort(cols * n + rows)
+    rows, cols = rows[order], cols[order]
     degree = np.bincount(cols, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(degree)])
     data = np.where(rows == cols, degree[cols] + 1.0, 1.0)
@@ -153,35 +176,92 @@ def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
 
 
 class _BandCholesky:
-    """LAPACK band Cholesky factorization of matrices on the pattern of `R`,
-    whose lower triangle lies within `kd` subdiagonals.
+    """LAPACK band Cholesky factorization of the matrices R with the blocks of
+    the pairs (rows[p], cols[p]), rows <= cols and the diagonal pairs first,
+    of n vertices, whose lower triangle lies within `kd` subdiagonals.
 
-    Calling it with a matrix on that pattern factors the matrix into a band
-    array allocated once, replacing the previous factorization, and returns
-    the factorization.
+    Calling it with the stored entries of the blocks (pairs, 30) scatters them
+    into a band array allocated once, factors R there, replacing the previous
+    factorization, and returns the factorization.
     """
 
-    def __init__(self, R, kd):
-        N = R.shape[0]
-        cols = np.repeat(np.arange(N), np.diff(R.indptr))
-        self._lower = np.flatnonzero(R.indices >= cols)
-        # row j holds column j of the band, entry (i, j) at i - j; its
-        # transpose is the Fortran-ordered array that LAPACK reads
-        self._columns = np.zeros((N, kd + 1))
-        self._positions = (kd + 1) * cols[self._lower] + R.indices[self._lower] - cols[self._lower]
+    def __init__(self, rows, cols, n, kd):
+        N = 6 * n
+        # row j of `_columns` holds column j of the band, entry (i, j) at
+        # i - j; its transpose is the Fortran-ordered array that LAPACK reads
+        self._band = np.zeros(N * (kd + 1))
+        self._columns = self._band.reshape(N, kd + 1)
+        # The entry (a, b) of the block of the pair (i, j) goes to column
+        # 6 i + a of the band at 6 (j - i) + b - a, transposed into the lower
+        # triangle, when i < j.  A diagonal block keeps its lower triangle in
+        # place, and its strictly upper entries, whose transposes are stored
+        # as well, are left out.
+        self._num_diagonal = int(np.count_nonzero(rows == cols))
+        self._start = 6 * (kd + 1) * rows + 6 * (cols - rows)
+        self._offset = (kd + 1) * _BLOCK_ROWS + _BLOCK_COLS - _BLOCK_ROWS
+        self._diagonal_entries = np.flatnonzero(_BLOCK_ROWS >= _BLOCK_COLS)
+        a, b = _BLOCK_ROWS[self._diagonal_entries], _BLOCK_COLS[self._diagonal_entries]
+        self._diagonal_offset = (kd + 1) * b + a - b
 
-    def __call__(self, R):
-        columns = self._columns
-        columns.fill(0.0)
-        columns.reshape(-1)[self._positions] = R.data[self._lower]
-        _, info = lapack.dpbtrf(columns.T, lower=1, overwrite_ab=1)
+    def __call__(self, values):
+        band, start, d = self._band, self._start, self._num_diagonal
+        band.fill(0.0)
+        band[start[:d, None] + self._diagonal_offset] = values[:d, self._diagonal_entries]
+        band[start[d:, None] + self._offset] = values[d:]
+        _, info = _one_blas_thread(lapack.dpbtrf, self._columns.T, lower=1, overwrite_ab=1)
         if info != 0:
             raise SaddleSolveError(f"band Cholesky factorization failed (info {info}): "
                                    "the matrix is not positive definite")
         return self
 
     def solve(self, b):
-        return lapack.dpbtrs(self._columns.T, b, lower=1)[0]
+        return _one_blas_thread(lapack.dpbtrs, self._columns.T, b, lower=1)[0]
+
+
+class _SuperLU:
+    """SuperLU factorization, in the given order, of the matrices R with the
+    blocks of the pairs (rows[p], cols[p]), rows <= cols, of n vertices.
+
+    Calling it with the stored entries of the blocks (pairs, 30) gathers them
+    into a compressed sparse column matrix allocated once and returns its
+    factorization.
+    """
+
+    def __init__(self, rows, cols, n):
+        # every pair: the given ones, then the transposes (j, i) of the
+        # off-diagonal ones, sorted by column, then row
+        off = np.flatnonzero(rows != cols)
+        pair = np.concatenate([np.arange(len(rows)), off])
+        entry = np.where((np.arange(len(pair)) < len(rows))[:, None], np.arange(30), _TRANSPOSED)
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        order = np.argsort(cols * n + rows)
+        rows, cols, pair, entry = rows[order], cols[order], pair[order], entry[order]
+        # column 6 j + b holds, for each pair (i, j) in turn, the stored rows
+        # of block column b; the pair's rank in its column follows from the
+        # sorted order
+        num_pairs = len(rows)
+        degree = np.bincount(cols, minlength=n)
+        first = np.concatenate([[0], np.cumsum(degree)[:-1]])
+        indptr = np.append(30 * first[:, None] + degree[:, None] * _COL_START,
+                           30 * num_pairs).astype(np.int32)
+        in_column = (np.arange(num_pairs) - first[cols]).astype(np.int32)
+        # where the entries of a pair start in each of its six columns
+        starts = indptr[:-1].reshape(n, 6)[cols] + in_column[:, None] * _COL_SIZE
+        positions = starts[:, _BLOCK_COLS] + _ROW_OFFSET
+        indices = np.empty(30 * num_pairs, dtype=np.int32)
+        indices[positions] = 6 * rows[:, None] + _BLOCK_ROWS
+        self._matrix = sp.csc_matrix((np.zeros(30 * num_pairs), indices, indptr),
+                                     shape=(6 * n, 6 * n))
+        # the stored block entry that each stored entry of the matrix takes
+        self._source = np.empty(30 * num_pairs, dtype=np.intp)
+        self._source[positions] = 30 * pair[:, None] + entry
+
+    def __call__(self, values):
+        np.take(values.reshape(-1), self._source, out=self._matrix.data, mode="clip")
+        try:
+            return _factor(self._matrix, "NATURAL")
+        except (RuntimeError, ValueError) as exc:
+            raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
 
 
 class TangentSystem:
@@ -206,76 +286,68 @@ class TangentSystem:
                  value_diagonal=None):
         n = len(free_vertices)
         rows, cols, blocks = vertex_pair_blocks(triangles, element_matrices, free_vertices)
-        num_pairs = len(rows)
 
-        # Number the vertices and sort the pairs again.  A vertex spans six
-        # unknowns of R, so in the reverse Cuthill-McKee order R has
-        # 6 b + 5 subdiagonals, b the largest difference of the numbers of two
-        # neighbours; a narrow band keeps that order.  Otherwise the order is
-        # minimum degree, which breaks ties by the numbering it is given, so
-        # it runs twice, the second time from the first order: on the O-shape
-        # meshes that fills less at levels 1, 2 and 4 (45 984 -> 43 740,
-        # 210 096 -> 205 026 and 5.95 -> 5.89 million stored entries of L and
-        # U) and 0.6 % more at level 3.
-        rcm = _reverse_cuthill_mckee_rank(rows, cols, n)
-        kd = 6 * int(np.abs(rcm[rows] - rcm[cols]).max(initial=0)) + 5
+        # Number the vertices.  A vertex spans six unknowns of R, so in the
+        # reverse Cuthill-McKee order R has 6 b + 5 subdiagonals, b the
+        # largest difference of the numbers of two neighbours; a narrow band
+        # keeps that order.  Otherwise the order is minimum degree, which
+        # breaks ties by the numbering it is given, so it runs twice, the
+        # second time from the first order: on the O-shape meshes that fills
+        # less at levels 1, 2 and 4 (45 984 -> 43 740, 210 096 -> 205 026 and
+        # 5.95 -> 5.89 million stored entries of L and U) and 0.6 % more at
+        # level 3.
+        rank = _reverse_cuthill_mckee_rank(rows, cols, n)
+        kd = 6 * int(np.abs(rank[rows] - rank[cols]).max(initial=0)) + 5
         banded = kd <= _MAX_BAND_KD
-        rank = np.arange(n)                 # vertex number of each local vertex
-        pair = np.arange(num_pairs)         # index into the pairs of each sorted pair
-        for _ in range(1 if banded else 2):
-            renumber = rcm if banded else _minimum_degree_rank(rows, cols, n)
-            rank, rows, cols = renumber[rank], renumber[rows], renumber[cols]
-            order = np.argsort(cols * n + rows)
-            rows, cols, pair = rows[order], cols[order], pair[order]
+        if not banded:
+            first = _minimum_degree_rank(rows, cols, n)
+            rank = _minimum_degree_rank(first[rows], first[cols], n)[first]
         self.vertices = free_vertices[np.argsort(rank)]
-
-        # CSC pattern: column 6 j + b holds, for each pair (i, j) in turn, the
-        # stored rows of block column b; the pair's rank in its column follows
-        # from the sorted order
-        degree = np.bincount(cols, minlength=n)
-        first = np.concatenate([[0], np.cumsum(degree)[:-1]])
-        indptr = np.append(30 * first[:, None] + degree[:, None] * _COL_START,
-                           30 * num_pairs).astype(np.int32)
-        in_column = (np.arange(num_pairs) - first[cols]).astype(np.int32)
-        # where the entries of a pair start in each of its six columns
-        starts = indptr[:-1].reshape(n, 6)[cols] + in_column[:, None] * _COL_SIZE
-        positions = starts[:, _BLOCK_COLS] + _ROW_OFFSET
-        indices = np.empty(30 * num_pairs, dtype=np.int32)
-        indices[positions] = 6 * rows[:, None] + _BLOCK_ROWS
-        self.R = sp.csc_matrix((np.zeros(30 * num_pairs), indices, indptr),
-                               shape=(6 * n, 6 * n))
+        rows, cols = rank[rows], rank[cols]
 
         # A step computes the blocks of the pairs i <= j only, since
-        # R_ji = R_ij^T, and gathers R.data from them: each block fills its
-        # own place and, transposed, the place of (j, i).  A diagonal block
-        # fills its own place only.
+        # R_ji = R_ij^T: the diagonal pairs first, by vertex, then the others
+        # by column, then row.
         upper = np.flatnonzero(rows <= cols)
+        upper = upper[np.lexsort((rows[upper], cols[upper], rows[upper] != cols[upper]))]
         self._rows, self._cols = rows[upper], cols[upper]
-        mirror = np.searchsorted(cols * n + rows, self._rows * n + self._cols)
-        self._diagonal_pairs = np.flatnonzero(self._rows == self._cols)
-        entries = np.arange(30 * len(upper)).reshape(-1, 30)
-        self._source = np.empty(30 * num_pairs, dtype=np.intp)
-        self._source[positions[mirror[:, None], _TRANSPOSED]] = entries
-        self._source[positions[upper]] = entries
-        self._blocks = blocks[pair[upper]]
+        self._blocks = blocks[upper]
+        self._num_diagonal = int(np.count_nonzero(self._rows == self._cols))
+        self._values = np.empty((len(upper), 30))
+        # R x from the blocks: the blocks R_ij with i <= j as they are, and
+        # the off-diagonal ones transposed; both read the stored entries in
+        # `_values`
+        r = (6 * self._rows[:, None] + _BLOCK_ROWS).reshape(-1).astype(np.int32)
+        c = (6 * self._cols[:, None] + _BLOCK_COLS).reshape(-1).astype(np.int32)
+        d = 30 * self._num_diagonal
+        shape = (6 * n, 6 * n)
+        self._upper = sp.coo_matrix((self._values.reshape(-1), (r, c)), shape=shape)
+        self._lower = sp.coo_matrix((self._values.reshape(-1)[d:], (c[d:], r[d:])), shape=shape)
         # the rows of R that the six row sums and the six column sums of each
         # block add to in ||R||_inf: 6 i + a, then 6 j + b
         self._sum_target = np.concatenate([6 * self._rows[:, None] + np.arange(6),
                                            6 * self._cols[:, None] + np.arange(6)],
                                           axis=1).reshape(-1)
-        self._factorize = _BandCholesky(self.R, kd) if banded else _superlu
+        self._factorize = (_BandCholesky(self._rows, self._cols, n, kd) if banded
+                           else _SuperLU(self._rows, self._cols, n))
         self._value_diagonal = (None if value_diagonal is None
                                 else np.asarray(value_diagonal)[self.vertices])
 
-    def _block_values(self, Q) -> np.ndarray:
-        """The stored entries of the blocks R_ij with i <= j, shape (pairs, 30)."""
+    def assemble(self, Q) -> np.ndarray:
+        """The stored entries of the blocks R_ij with i <= j of R = Z^T A Z,
+        shape (pairs, 30), for the kernel blocks Q (vertices x 3 x 2 x 3,
+        entry [v, c, k, j]: the d_(k+1) w_c coefficient of kernel column j).
+        They are written into one array that the next call overwrites."""
+        if Q.shape != (len(self.vertices), 3, 2, 3):
+            raise ValueError(f"kernel blocks of shape {Q.shape} do not match "
+                             f"{len(self.vertices)} vertices")
         S = self._blocks
         pairs = len(S)
         # Q_i and Q_j with the kind first: entry [p, k, 3 c + j]
         Qk = Q.transpose(0, 2, 1, 3)
         Qi = Qk[self._rows].reshape(pairs, 2, 9)
         Qj = Qk[self._cols].reshape(pairs, 2, 9)
-        values = np.empty((pairs, 30))
+        values = self._values
         values[:, :3] = S[:, :1, 0]
         # SQ[p, k, 3 c + j] = S_ij[k, 1:] applied to the gradient rows of Q_j,
         # for the value row (k = 0) and the two gradient rows of component c
@@ -287,8 +359,14 @@ class TangentSystem:
         np.matmul(Qi.reshape(pairs, 6, 3).transpose(0, 2, 1), SQ[:, 1:].reshape(pairs, 6, 3),
                   out=values[:, 21:].reshape(pairs, 3, 3))
         if self._value_diagonal is not None:
-            values[self._diagonal_pairs, :3] += self._value_diagonal
+            values[:self._num_diagonal, :3] += self._value_diagonal
         return values
+
+    def _product(self, x) -> np.ndarray:
+        """R x for the blocks of the last `assemble`."""
+        y = self._upper @ x
+        y += self._lower @ x
+        return y
 
     def _inf_norm(self, values) -> float:
         """||R||_inf from the stored entries of the blocks R_ij with i <= j:
@@ -296,21 +374,9 @@ class TangentSystem:
         transposed, its absolute column sums to the rows of vertex j; a
         diagonal block adds its row sums only."""
         sums = np.abs(values) @ _ROW_COL_SUMS
-        sums[self._diagonal_pairs, 6:] = 0.0
+        sums[:self._num_diagonal, 6:] = 0.0
         return float(np.bincount(self._sum_target, weights=sums.reshape(-1),
                                  minlength=6 * len(self.vertices)).max(initial=0.0))
-
-    def assemble(self, Q) -> np.ndarray:
-        """Write R = Z^T A Z for the kernel blocks Q (vertices x 3 x 2 x 3,
-        entry [v, c, k, j]: the d_(k+1) w_c coefficient of kernel column j)
-        into `R`, and return the stored entries of its blocks R_ij with
-        i <= j, shape (pairs, 30)."""
-        if Q.shape != (len(self.vertices), 3, 2, 3):
-            raise ValueError(f"kernel blocks of shape {Q.shape} do not match "
-                             f"{len(self.vertices)} vertices")
-        values = self._block_values(Q)
-        np.take(values.reshape(-1), self._source, out=self.R.data, mode="clip")
-        return values
 
     def solve(self, Q, rhs) -> np.ndarray:
         """Return the dofs d = Z u with (Z^T A Z) u = Z^T rhs.
@@ -326,14 +392,13 @@ class TangentSystem:
         if rhs.size != 9 * n:
             raise ValueError(f"rhs of length {rhs.size} does not match {n} vertices")
         values = self.assemble(Q)
-        R = self.R
         r = rhs.reshape(n, 3, 3)
         b = np.empty((n, 6))
         b[:, :3] = r[:, :, 0]
         Q = Q.reshape(n, 6, 3)
         b[:, 3:] = np.matmul(r[:, :, 1:].reshape(n, 1, 6), Q)[:, 0]
         b = b.reshape(-1)
-        factorization = self._factorize(R)
+        factorization = self._factorize(values)
         u = factorization.solve(b)
         if not np.isfinite(u).all():
             raise SaddleSolveError("factorization produced non-finite values")
@@ -341,7 +406,7 @@ class TangentSystem:
         norm_b = float(np.abs(b).max(initial=0.0))
 
         def backward_error(u):
-            resid = b - R @ u
+            resid = b - self._product(u)
             scale = norm_R * float(np.abs(u).max(initial=0.0)) + norm_b
             return resid, float(np.abs(resid).max(initial=0.0)) / max(scale, 1e-300)
 

@@ -102,20 +102,19 @@ def dense_basis(Q):
     return Z
 
 
-def scattered_data(system, values):
-    """R.data as a scatter of the blocks of the pairs i <= j writes it: each
-    block into its own place and, transposed, into the place of (j, i); a
-    diagonal block into its own place only."""
-    R = system.R
-    N = R.shape[0]
-    keys = np.repeat(np.arange(N), np.diff(R.indptr)) * N + R.indices  # col N + row
+def reduced_matrix(system, values):
+    """R as a CSC matrix, built from the stored entries of the blocks R_ij
+    with i <= j (pairs, 30) that the system assembled: each block in its own
+    place and, transposed, in the place of (j, i); a diagonal block in its
+    own place only."""
+    N = 6 * len(system.vertices)
     rows = 6 * system._rows[:, None] + BLOCK_ROWS
     cols = 6 * system._cols[:, None] + BLOCK_COLS
-    data = np.full(R.nnz, np.nan)
-    data[np.searchsorted(keys, cols * N + rows)] = values
     off = system._rows != system._cols
-    data[np.searchsorted(keys, rows[off] * N + cols[off])] = values[off]
-    return data
+    return sp.csc_matrix((np.concatenate([values[off].reshape(-1), values.reshape(-1)]),
+                          (np.concatenate([cols[off].reshape(-1), rows.reshape(-1)]),
+                           np.concatenate([rows[off].reshape(-1), cols.reshape(-1)]))),
+                         shape=(N, N))
 
 
 def coo_bending_stiffness(mesh):

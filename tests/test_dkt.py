@@ -79,11 +79,11 @@ def test_global_reconstruction_matches_across_shared_edges(rect_l2):
     # identical when reconstructed from either adjacent element
     rng = np.random.default_rng(7)
     field = random_field(rect_l2, rng)
-    ops = dkt.element_operators(rect_l2)
+    G = dkt.dkt_gradient_matrices(rect_l2.triangle_coords(), rect_l2.triangles)
     loc = dkt.local_scalar_dofs(rect_l2, field)
     mids = {}
     for f in range(rect_l2.num_triangles):
-        th = (ops.gradient[f] @ loc[f, 0]).reshape(6, 2)  # first component
+        th = (G[f] @ loc[f, 0]).reshape(6, 2)  # first component
         for i in range(3):
             e = rect_l2.tri_edges[f, i]
             if e in mids:
@@ -276,9 +276,8 @@ def test_cylinder_interpolation_nodal_isometry(rect_l2):
 def reconstruction_hessians(m, field, bary):
     """Gradient of the reconstructed quadratic field at barycentric points,
     shape (F, npts, 3 comps, 2, 2): rows d, columns e of d(theta_d)/dx_e."""
-    ops = dkt.element_operators(m)
     loc = dkt.local_scalar_dofs(m, field)
-    G6 = ops.gradient.reshape(-1, 6, 2, 9)
+    G6 = dkt.dkt_gradient_matrices(m.triangle_coords(), m.triangles).reshape(-1, 6, 2, 9)
     theta_nodes = np.einsum("fnde,fce->fcnd", G6, loc)     # (F, c, 6, 2)
     dN = dkt.p2_physical_gradients(m.triangle_coords(), bary)  # (F, p, 6, 2)
     return np.einsum("fpne,fcnd->fpcde", dN, theta_nodes)
@@ -347,7 +346,7 @@ class SeminormKit:
         self.ev = CubicEvaluator(m)
         self.ops = dkt.element_operators(m)
         self.areas = m.triangle_areas
-        self.G6 = self.ops.gradient.reshape(-1, 6, 2, 9)
+        self.G6 = dkt.dkt_gradient_matrices(m.triangle_coords(), m.triangles).reshape(-1, 6, 2, 9)
         self.p2v = p2_values(self.bary)
 
     def norms(self, field):

@@ -14,7 +14,7 @@ from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_sa
 from plateflow.presets import RunConfig, resolve
 
 from conftest import (dense_basis, flat_update_rounding_scale, penalty_rhs, random_field,
-                      scattered_data)
+                      reduced_matrix)
 
 
 def small_oshape():
@@ -172,9 +172,9 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
         assert state.update_norm > 0 and state.constraint_residual <= 1e-12
 
 
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level", [1, 2, 3])
 def test_flow_orders_tangent_system(level):
-    # at levels 1-2 the flow numbers the free vertices once, in a band order,
+    # at levels 1-3 the flow numbers the free vertices once, in a band order,
     # and every step factors R as a band: the order is a permutation of the
     # free vertices, and R in it has exactly the half-bandwidth of the
     # band factorization
@@ -184,7 +184,8 @@ def test_flow_orders_tangent_system(level):
     assert np.array_equal(np.sort(flow.free), flow.dofmap.free_indices)
     factorization = flow.system._factorize
     assert isinstance(factorization, linsolve._BandCholesky)
-    R = flow.system.R.tocoo()
+    Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
+    R = reduced_matrix(flow.system, flow.system.assemble(Q)).tocoo()
     N, band_rows = factorization._columns.shape
     assert N == R.shape[0]
     assert (R.row - R.col).max() == band_rows - 1
@@ -192,15 +193,16 @@ def test_flow_orders_tangent_system(level):
     assert np.isfinite(y.dofs).all()
 
 
-def test_minimum_degree_order_fills_no_more_than_superlu_order():
-    # at O-shape level 3 the band is too wide, and R is factored by SuperLU
-    # in the minimum degree order of the vertices; it fills no more than
-    # SuperLU's own minimum degree order of the same matrix
+def test_minimum_degree_order_fills_no_more_than_superlu_order(monkeypatch):
+    # on the SuperLU side, forced at O-shape level 3, R is factored in the
+    # minimum degree order of the vertices; it fills no more than SuperLU's
+    # own minimum degree order of the same matrix
+    monkeypatch.setattr(linsolve, "_MAX_BAND_KD", -1)
     run = resolve(RunConfig(experiment="oshape", level=3))
     flow = GradientFlow(run.mesh, run.params)
-    assert flow.system._factorize is linsolve._superlu
-    flow.system.assemble(tangent_basis(run.initial.gradients()[flow.free_vertices])[0])
-    R = flow.system.R
+    assert isinstance(flow.system._factorize, linsolve._SuperLU)
+    Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
+    R = reduced_matrix(flow.system, flow.system.assemble(Q))
 
     def fill(spec):
         return spla.splu(R, permc_spec=spec, diag_pivot_thresh=0.0,
@@ -211,14 +213,14 @@ def test_minimum_degree_order_fills_no_more_than_superlu_order():
 
 @pytest.mark.parametrize("experiment", ["oshape", "rectangle"])
 def test_factorization_chosen_from_the_pattern(experiment):
-    # levels 1-2 are factored as a band, levels 3-4 by SuperLU; a system
+    # levels 1-3 are factored as a band, level 4 by SuperLU; a system
     # rebuilt from copies of its inputs takes the same side and order
     for level in (1, 2, 3, 4):
         run = resolve(RunConfig(experiment=experiment, level=level))
         mesh = run.mesh
         flow = GradientFlow(mesh, run.params)
         banded = isinstance(flow.system._factorize, linsolve._BandCholesky)
-        assert banded == (level <= 2), level
+        assert banded == (level <= 3), level
         again = linsolve.TangentSystem(mesh.triangles.copy(),
                                        (1.0 + run.params.tau) * flow.ops.bending.copy(),
                                        flow.dofmap.free_vertices.copy())
@@ -240,12 +242,14 @@ def test_blockwise_step_matrix_matches_dense_product(mode, oshape_l1_clamped):
     A_ff = A[np.ix_(flow.free, flow.free)]
     y = random_field(m, np.random.default_rng(149))
     Q, _ = tangent_basis(y.gradients()[flow.free_vertices])
-    flow.system.assemble(Q)
+    R = reduced_matrix(flow.system, flow.system.assemble(Q))
     Z = dense_basis(Q)
     expected = Z.T @ A_ff @ Z
-    assert np.abs(flow.system.R.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
-    assert np.array_equal(flow.system.R.data,
-                          scattered_data(flow.system, flow.system._block_values(Q)))
+    assert np.abs(R.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+    # and so does the product that the residual of a step takes from the blocks
+    x = np.random.default_rng(151).standard_normal(len(expected))
+    scale = np.abs(expected).sum(axis=1).max() * np.abs(x).max()
+    assert np.abs(flow.system._product(x) - expected @ x).max() <= 1e-14 * scale
 
 
 def test_history_record_schema(oshape_l1_clamped):

@@ -1,11 +1,14 @@
+import ctypes
+
 import numpy as np
 import pytest
+from scipy.linalg import cython_lapack, lapack
 
 from plateflow import linsolve
 from plateflow.constraints import tangent_basis
 from plateflow.linsolve import SaddleSolveError, TangentSystem
 
-from conftest import GRAD_DOFS, dense_basis, scattered_data
+from conftest import GRAD_DOFS, dense_basis, reduced_matrix
 
 
 def dense_kkt_oracle(A, B, rhs):
@@ -96,32 +99,114 @@ def random_case(rng, num_vertices, scale=1.0, value_diagonal=None):
 
 
 def test_blockwise_matrix_matches_dense_product():
-    # R = Z^T A Z, assembled blockwise into the fixed pattern, with and
-    # without a diagonal on the value dofs
+    # R = Z^T A Z, assembled blockwise, with and without a diagonal on the
+    # value dofs
     rng = np.random.default_rng(79)
     diagonal = np.abs(rng.standard_normal((7, 3)))
     for value_diagonal in (None, diagonal):
         system, A, Q, _ = random_case(rng, 7, value_diagonal=value_diagonal)
-        system.assemble(Q)
+        R = reduced_matrix(system, system.assemble(Q))
         Z = dense_basis(Q)
         expected = Z.T @ A @ Z
-        assert np.abs(system.R.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(R.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
         # 30 stored entries per vertex pair: the value-value off-diagonals are not
-        coo = system.R.tocoo()
+        coo = R.tocoo()
         pairs = np.unique(coo.row // 6 * len(Q) + coo.col // 6)
-        assert system.R.nnz == 30 * len(pairs)
-        assert system.R.has_canonical_format
+        assert R.nnz == 30 * len(pairs)
 
 
-def test_gathered_matrix_equals_scattered_blocks():
-    # the gather through the source index fixed at construction writes
-    # exactly the bits of a scatter of the blocks, with and without a
-    # diagonal on the value dofs
+def factored_matrix(system, values, monkeypatch):
+    """What the system's factorization is handed for the block entries
+    `values`: the band array that `dpbtrf` receives, spread out into a dense
+    lower triangle, or a copy of the matrix that SuperLU receives."""
+    handed = []
+    with monkeypatch.context() as patch:
+        if side_of(system) == "band":
+            def dpbtrf(ab, *args, genuine=lapack.dpbtrf, **kwargs):
+                kd = ab.shape[0] - 1
+                N = ab.shape[1]
+                lower = np.zeros((N, N))
+                for offset in range(kd + 1):
+                    lower[np.arange(offset, N), np.arange(N - offset)] = ab[offset, :N - offset]
+                handed.append(lower)
+                return genuine(ab, *args, **kwargs)
+
+            patch.setattr(lapack, "dpbtrf", dpbtrf)
+        else:
+            def factor(M, *args, genuine=linsolve._factor, **kwargs):
+                handed.append(M.copy())
+                return genuine(M, *args, **kwargs)
+
+            patch.setattr(linsolve, "_factor", factor)
+        system._factorize(values)
+    return handed[0]
+
+
+def test_gathered_matrix_equals_scattered_blocks(monkeypatch):
+    # each side hands its factorization exactly the bits of a scatter of
+    # the blocks, with and without a diagonal on the value dofs: the band
+    # the lower triangle, zero outside the pattern, SuperLU the whole matrix
+    # on the pattern of the blocks
     rng = np.random.default_rng(151)
-    for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
-        system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
-        system.assemble(Q)
-        assert np.array_equal(system.R.data, scattered_data(system, system._block_values(Q)))
+    for side in on_each_side(monkeypatch):
+        for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
+            system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
+            assert side_of(system) == side
+            values = system.assemble(Q)
+            R = reduced_matrix(system, values)
+            handed = factored_matrix(system, values, monkeypatch)
+            if side == "band":
+                assert np.array_equal(handed, np.tril(R.toarray()))
+            else:
+                assert np.array_equal(handed.indptr, R.indptr)
+                assert np.array_equal(handed.indices, R.indices)
+                assert np.array_equal(handed.data, R.data)
+
+
+def test_product_from_blocks(monkeypatch):
+    # R x from the blocks equals the product with the matrix they make up,
+    # with and without a value diagonal, on both sides
+    rng = np.random.default_rng(163)
+    for side in on_each_side(monkeypatch):
+        for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
+            system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
+            assert side_of(system) == side
+            R = reduced_matrix(system, system.assemble(Q))
+            x = rng.standard_normal(R.shape[0])
+            scale = abs(R).sum(axis=1).max() * np.abs(x).max()
+            assert np.abs(system._product(x) - R @ x).max() <= 1e-14 * scale
+
+
+def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
+    # the band factorization and its solves see one BLAS thread, and the
+    # caller's thread count is back after the solve; SuperLU calls neither
+    get_threads = ctypes.CDLL(cython_lapack.__file__).scipy_openblas_get_num_threads
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    seen = []
+    for name in ("dpbtrf", "dpbtrs"):
+        def recording(*args, routine=getattr(lapack, name), name=name, **kwargs):
+            seen.append((name, get_threads()))
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, recording)
+    previous = linsolve._set_blas_threads(2)
+    try:
+        for side in on_each_side(monkeypatch):
+            seen.clear()
+            rng = np.random.default_rng(167)
+            system, A, Q, _ = random_case(rng, 9)
+            assert side_of(system) == side
+            before = get_threads()
+            system.solve(Q, rng.standard_normal(A.shape[0]))
+            assert get_threads() == before == 2, side
+            if side == "band":
+                assert [name for name, _ in seen] == ["dpbtrf", "dpbtrs"]
+                assert all(threads == 1 for _, threads in seen)
+            else:
+                assert not seen
+    finally:
+        linsolve._set_blas_threads(previous)
 
 
 def test_unconstrained_identity():
@@ -206,7 +291,7 @@ def test_norm_from_blocks(monkeypatch):
             system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
             assert side_of(system) == side
             values = system.assemble(Q)
-            expected = abs(system.R).sum(axis=1).max()
+            expected = abs(reduced_matrix(system, values)).sum(axis=1).max()
             assert abs(system._inf_norm(values) - expected) <= 1e-14 * expected
 
 
@@ -221,10 +306,12 @@ def test_corrupted_factorization_rejected(monkeypatch):
         rhs = rng.standard_normal(A.shape[0])
         genuine = system._factorize
 
-        def corrupted(R, genuine=genuine):
-            perturbed = R.copy()
-            columns = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
-            perturbed.data[R.indices == columns] += 1e-3 * np.abs(R.data).max()
+        def corrupted(values, genuine=genuine):
+            # the diagonal entries of the diagonal blocks
+            perturbed = values.copy()
+            diagonal = np.ix_(system._rows == system._cols,
+                              linsolve._BLOCK_ROWS == linsolve._BLOCK_COLS)
+            perturbed[diagonal] += 1e-3 * np.abs(values).max()
             return genuine(perturbed)
 
         system._factorize = corrupted
