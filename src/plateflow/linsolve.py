@@ -22,11 +22,15 @@ Large Sparse Positive Definite Systems*, 1981) R is a band matrix with
 kd = 6 b + 5 subdiagonals, b the largest distance between the numbers of two
 neighbouring vertices.  When kd is small enough the vertices keep that order,
 a step scatters the blocks straight into a band array, at positions fixed at
-set-up, and LAPACK's band Cholesky (`dpbtrf`) factors it on one BLAS
-thread.  Otherwise the vertices are numbered by two minimum degree passes, a
-step gathers the blocks into a compressed sparse column matrix, and SuperLU
-factors it with diagonal pivots.  On both sides the residual R u and ||R||_inf
-are computed from the blocks.  A single step of iterative refinement keeps the
+set-up, and a blocked Cholesky factors it there on one BLAS thread.  The
+factor has no entry outside the envelope of R, the entries from the first
+one of each row to the diagonal (George & Liu, Thm 4.1.1), so each panel of
+columns updates only the rows its envelope reaches, with dense BLAS and
+LAPACK kernels, and LAPACK's `dpbtrs` solves with the factor.  Otherwise the
+vertices are numbered by two minimum degree passes, a step gathers the
+blocks into a compressed sparse column matrix, and SuperLU factors it with
+diagonal pivots.  On both sides the residual R u and ||R||_inf are computed
+from the blocks.  A single step of iterative refinement keeps the
 solve within its normwise backward-error contract.  Factorizations are
 deterministic: identical inputs yield bit-identical solutions.
 """
@@ -38,7 +42,7 @@ import ctypes
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # ||R u - b||_inf <= BACKWARD_ERROR_TOL (||R||_inf ||u||_inf + ||b||_inf).
@@ -49,21 +53,27 @@ BACKWARD_ERROR_TOL = 1e-12
 # The widest band, in subdiagonals kd, that is factored as a band.  The kd
 # of the reverse Cuthill-McKee order are 71, 119, 215 and 407 on the O-shape
 # meshes of levels 1-4, 65, 107, 209 and 401 on the rectangle meshes.
-# Median factorization times in ms (2 cores, 4 warm-up steps):
+# Median factorization times in ms, on one BLAS thread, of 15 factorizations
+# after 2 (5 at level 4; 2-core shared machine):
 #
-#   mesh, level    kd   dpbtrf, 2 threads   dpbtrf, 1 thread   SuperLU
-#   O-shape 1      71   0.80                0.43               1.56
-#   O-shape 2     119   4.1                 3.0                7.6
-#   O-shape 3     215   42-44               33                 50
-#   rectangle 3   209   59-73               48                 261
-#   O-shape 4     407   337-381             261                382
+#   mesh, level    kd   dpbtrf   envelope panels   SuperLU
+#   O-shape 1      71   0.67     0.55              2.5
+#   O-shape 2     119   3.6      2.6               10.8
+#   O-shape 3     215   30       18                65
+#   rectangle 3   209   44       41                327
+#   O-shape 4     407   293      141               397
 #
-# The band runs on one thread (`_one_blas_thread`), and then wins at every
-# level.  Level 4 stays with SuperLU all the same, for memory: the band array
-# holds N (kd + 1) doubles for N unknowns, 121 MiB on the O-shape at level 4
-# (916 MiB at level 5), against about 70 MB of SuperLU's L and U, which are
-# freed after every step.  The bound sits inside the gap between 215 and 401.
+# With more threads the band kernels cost more than they save at these
+# widths, so the band runs on one (`_one_blas_thread`), and then wins at
+# every level.  Level 4 stays with SuperLU all the same, for memory: the band
+# array holds N (ld + 1) doubles for N unknowns, ld a few rows past kd,
+# 127 MiB on the O-shape at level 4 (about 900 MiB at level 5), against about
+# 70 MB of SuperLU's L and U, which are freed after every step.  The bound
+# sits inside the gap between 215 and 401.
 _MAX_BAND_KD = 300
+
+# The columns of a panel of the band factorization; 24 and 32 measure alike.
+_PANEL = 24
 
 # The 30 stored entries (row a, column b) of a 6x6 block R_ij, in the order
 # `TangentSystem.assemble` packs them: value-value diagonal, value rows by
@@ -84,10 +94,6 @@ _ROW_OFFSET = np.where(_BLOCK_COLS < 3,
 # the entry (b, a) of each stored entry (a, b)
 _ENTRY = {(a, b): e for e, (a, b) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS))}
 _TRANSPOSED = np.array([_ENTRY[b, a] for a, b in zip(_BLOCK_ROWS, _BLOCK_COLS)])
-# (30, 12): multiplied by the absolute stored entries of a block, its six row
-# sums, then its six column sums
-_ROW_COL_SUMS = np.concatenate([_BLOCK_ROWS[:, None] == np.arange(6),
-                                _BLOCK_COLS[:, None] == np.arange(6)], axis=1).astype(float)
 
 # OpenBLAS's thread count.  `cython_lapack` links the OpenBLAS that `lapack`
 # calls; in it this sets the count of the whole process and returns the
@@ -95,6 +101,39 @@ _ROW_COL_SUMS = np.concatenate([_BLOCK_ROWS[:, None] == np.arange(6),
 _set_blas_threads = ctypes.CDLL(cython_lapack.__file__).openblas_set_num_threads_local
 _set_blas_threads.argtypes = [ctypes.c_int]
 _set_blas_threads.restype = ctypes.c_int
+
+# The routines of the band factorization, from scipy's Cython BLAS and
+# LAPACK, which link the same OpenBLAS; each takes every argument by
+# reference.  They are declared without argument types: every argument is
+# already a ctypes object, most built once, and converting them in each call
+# made a level-1 factorization, 35 panels, 0.03-0.29 ms slower.
+_capsule_name = ctypes.pythonapi.PyCapsule_GetName
+_capsule_name.argtypes = [ctypes.py_object]
+_capsule_name.restype = ctypes.c_char_p
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+_capsule_pointer.restype = ctypes.c_void_p
+
+
+def _routine(module, name):
+    capsule = module.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_dpotrf = _routine(cython_lapack, "dpotrf")
+_dpbtrs = _routine(cython_lapack, "dpbtrs")
+_dtrsm = _routine(cython_blas, "dtrsm")
+_dsyrk = _routine(cython_blas, "dsyrk")
+
+
+def _int_ref(value):
+    return ctypes.pointer(ctypes.c_int(value))
+
+
+_LOWER, _RIGHT, _TRANSPOSE, _NO_TRANSPOSE = (ctypes.c_char_p(flag)
+                                              for flag in (b"L", b"R", b"T", b"N"))
+_PLUS_ONE, _MINUS_ONE = (ctypes.pointer(ctypes.c_double(x)) for x in (1.0, -1.0))
+_ONE_RHS = _int_ref(1)
 
 
 class SaddleSolveError(RuntimeError):
@@ -176,9 +215,19 @@ def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
 
 
 class _BandCholesky:
-    """LAPACK band Cholesky factorization of the matrices R with the blocks of
-    the pairs (rows[p], cols[p]), rows <= cols and the diagonal pairs first,
-    of n vertices, whose lower triangle lies within `kd` subdiagonals.
+    """Blocked Cholesky factorization, in LAPACK's lower band storage, of the
+    matrices R with the blocks of the pairs (rows[p], cols[p]), rows <= cols
+    and the diagonal pairs first, of n vertices, whose lower triangle lies
+    within `kd` subdiagonals.
+
+    Row i of R has its first entry in the first column of the lowest
+    neighbour of its vertex, and the factor L has no entry outside this
+    envelope (George & Liu, 1981, Thm 4.1.1).  So each panel of `_PANEL`
+    columns updates only the rows its envelope reaches: `dpotrf` on the
+    diagonal block, `dtrsm` on the m rows below it, and `dsyrk` on the m x m
+    block that follows, all three on a dense view of the band array with
+    leading dimension ld, as `dpbtrf` does on the whole band.  The plan of
+    the panels is fixed here, from the pattern alone.
 
     Calling it with the stored entries of the blocks (pairs, 30) scatters them
     into a band array allocated once, factors R there, replacing the previous
@@ -187,35 +236,82 @@ class _BandCholesky:
 
     def __init__(self, rows, cols, n, kd):
         N = 6 * n
+        self.kd = kd
+        # The envelope: row 6 v + a of R starts no further left than column
+        # 6 u, u the lowest neighbour of vertex v, and reach[j] is the last
+        # row whose envelope holds column j.  A panel reaches the rows below
+        # it up to the reach of its last column.
+        lowest = np.arange(n)
+        np.minimum.at(lowest, cols, rows)
+        reach = np.full(N, -1)
+        np.maximum.at(reach, np.repeat(6 * lowest, 6), np.arange(N))
+        reach = np.maximum.accumulate(reach)
+        first = np.arange(0, N, _PANEL)
+        width = np.minimum(_PANEL, N - first)
+        below = reach[first + width - 1] + 1 - (first + width)
+        # A panel's dense view reaches width + below - 1 rows below its first
+        # diagonal entry; ld leaves room for them in every column of the band
+        # array, so that the view never runs into the next column, and is at
+        # least a panel's width, as LAPACK asks.  The rows past kd hold exact
+        # zeros, by the envelope.
+        ld = max(kd, int((width + below - 1).max()), int(width.max()))
         # row j of `_columns` holds column j of the band, entry (i, j) at
-        # i - j; its transpose is the Fortran-ordered array that LAPACK reads
-        self._band = np.zeros(N * (kd + 1))
-        self._columns = self._band.reshape(N, kd + 1)
+        # i - j, so entry (i, j) of the dense view is at i + ld j; its
+        # transpose is the Fortran-ordered array that LAPACK reads
+        self._band = np.zeros(N * (ld + 1))
+        self._columns = self._band.reshape(N, ld + 1)
         # The entry (a, b) of the block of the pair (i, j) goes to column
         # 6 i + a of the band at 6 (j - i) + b - a, transposed into the lower
         # triangle, when i < j.  A diagonal block keeps its lower triangle in
         # place, and its strictly upper entries, whose transposes are stored
         # as well, are left out.
         self._num_diagonal = int(np.count_nonzero(rows == cols))
-        self._start = 6 * (kd + 1) * rows + 6 * (cols - rows)
-        self._offset = (kd + 1) * _BLOCK_ROWS + _BLOCK_COLS - _BLOCK_ROWS
+        self._start = 6 * (ld + 1) * rows + 6 * (cols - rows)
+        self._offset = (ld + 1) * _BLOCK_ROWS + _BLOCK_COLS - _BLOCK_ROWS
         self._diagonal_entries = np.flatnonzero(_BLOCK_ROWS >= _BLOCK_COLS)
         a, b = _BLOCK_ROWS[self._diagonal_entries], _BLOCK_COLS[self._diagonal_entries]
-        self._diagonal_offset = (kd + 1) * b + a - b
+        self._diagonal_offset = (ld + 1) * b + a - b
+        # The arguments of the calls, by reference.  The addresses point into
+        # `_band`, which is never reallocated; the block that a panel updates
+        # starts at the diagonal of the next panel.
+        self.plan = list(zip(first.tolist(), width.tolist(), below.tolist()))
+        ints = {v: _int_ref(v) for v in {N, kd, ld, ld + 1, *width.tolist(), *below.tolist()}}
+        address, double = self._band.ctypes.data, self._band.itemsize
+        diagonal = [ctypes.c_void_p(address + double * (ld + 1) * c)
+                    for c in [*first.tolist(), N]]
+        self._calls = [(c, ints[w], ints[m] if m else None, diagonal[k],
+                        ctypes.c_void_p(address + double * ((ld + 1) * c + w)), diagonal[k + 1])
+                       for k, (c, w, m) in enumerate(self.plan)]
+        self._N_ref, self._kd_ref, self._ld_ref, self._ldab_ref = (
+            ints[v] for v in (N, kd, ld, ld + 1))
+        self._info = ctypes.c_int(0)
 
     def __call__(self, values):
         band, start, d = self._band, self._start, self._num_diagonal
         band.fill(0.0)
         band[start[:d, None] + self._diagonal_offset] = values[:d, self._diagonal_entries]
         band[start[d:, None] + self._offset] = values[d:]
-        _, info = _one_blas_thread(lapack.dpbtrf, self._columns.T, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise SaddleSolveError(f"band Cholesky factorization failed (info {info}): "
-                                   "the matrix is not positive definite")
+        _one_blas_thread(self._factor_panels)
         return self
 
+    def _factor_panels(self):
+        ld, info = self._ld_ref, self._info
+        for column, w, m, diagonal, below, trailing in self._calls:
+            _dpotrf(_LOWER, w, diagonal, ld, ctypes.byref(info))
+            if info.value:
+                raise SaddleSolveError(
+                    f"band Cholesky factorization failed at column {column + info.value} "
+                    f"of {len(self._columns)}: the matrix is not positive definite")
+            if m is not None:
+                _dtrsm(_RIGHT, _LOWER, _TRANSPOSE, _NO_TRANSPOSE, m, w, _PLUS_ONE, diagonal, ld,
+                       below, ld)
+                _dsyrk(_LOWER, _NO_TRANSPOSE, m, w, _MINUS_ONE, below, ld, _PLUS_ONE, trailing, ld)
+
     def solve(self, b):
-        return _one_blas_thread(lapack.dpbtrs, self._columns.T, b, lower=1)[0]
+        x = np.array(b, dtype=np.float64)
+        _one_blas_thread(_dpbtrs, _LOWER, self._N_ref, self._kd_ref, _ONE_RHS, self._band.ctypes,
+                         self._ldab_ref, x.ctypes, self._N_ref, ctypes.byref(self._info))
+        return x
 
 
 class _SuperLU:
@@ -323,11 +419,10 @@ class TangentSystem:
         shape = (6 * n, 6 * n)
         self._upper = sp.coo_matrix((self._values.reshape(-1), (r, c)), shape=shape)
         self._lower = sp.coo_matrix((self._values.reshape(-1)[d:], (c[d:], r[d:])), shape=shape)
-        # the rows of R that the six row sums and the six column sums of each
-        # block add to in ||R||_inf: 6 i + a, then 6 j + b
-        self._sum_target = np.concatenate([6 * self._rows[:, None] + np.arange(6),
-                                           6 * self._cols[:, None] + np.arange(6)],
-                                          axis=1).reshape(-1)
+        # the rows of R that the six row sums and the six column sums of the
+        # blocks add to in ||R||_inf: 6 i + a, then 6 j + b
+        self._sum_target = np.concatenate([6 * self._rows + np.arange(6)[:, None],
+                                           6 * self._cols + np.arange(6)[:, None]]).reshape(-1)
         self._factorize = (_BandCholesky(self._rows, self._cols, n, kd) if banded
                            else _SuperLU(self._rows, self._cols, n))
         self._value_diagonal = (None if value_diagonal is None
@@ -373,8 +468,19 @@ class TangentSystem:
         each block adds its absolute row sums to the rows of vertex i and,
         transposed, its absolute column sums to the rows of vertex j; a
         diagonal block adds its row sums only."""
-        sums = np.abs(values) @ _ROW_COL_SUMS
-        sums[:self._num_diagonal, 6:] = 0.0
+        # one row per stored entry, so that the sums run along whole rows: the
+        # value-value diagonal, then three 3 x 3 groups, each row by row, of
+        # value rows by kernel columns, kernel rows by value columns (the
+        # group transposed) and kernel-kernel
+        a = np.abs(values.T, order="C")
+        groups = a[3:].reshape(3, 3, 3, -1)
+        across, down = groups.sum(axis=2), groups.sum(axis=1)
+        sums = np.empty((2, 6, len(values)))
+        np.add(a[:3], across[0], out=sums[0, :3])
+        np.add(down[1], across[2], out=sums[0, 3:])
+        np.add(a[:3], across[1], out=sums[1, :3])
+        np.add(down[0], down[2], out=sums[1, 3:])
+        sums[1, :, :self._num_diagonal] = 0.0
         return float(np.bincount(self._sum_target, weights=sums.reshape(-1),
                                  minlength=6 * len(self.vertices)).max(initial=0.0))
 

@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cholesky_banded
 
 from plateflow import linsolve, mesh as pm
 from plateflow.constraints import identity_boundary_data, tangent_basis
@@ -176,7 +178,7 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
 def test_flow_orders_tangent_system(level):
     # at levels 1-3 the flow numbers the free vertices once, in a band order,
     # and every step factors R as a band: the order is a permutation of the
-    # free vertices, and R in it has exactly the half-bandwidth of the
+    # free vertices, and R in it has exactly the half-bandwidth kd of the
     # band factorization
     run = resolve(RunConfig(experiment="oshape", level=level))
     flow = GradientFlow(run.mesh, run.params)
@@ -186,11 +188,43 @@ def test_flow_orders_tangent_system(level):
     assert isinstance(factorization, linsolve._BandCholesky)
     Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
     R = reduced_matrix(flow.system, flow.system.assemble(Q)).tocoo()
-    N, band_rows = factorization._columns.shape
-    assert N == R.shape[0]
-    assert (R.row - R.col).max() == band_rows - 1
+    assert factorization._columns.shape[0] == R.shape[0]
+    assert (R.row - R.col).max() == factorization.kd
     y = flow.step(flow.initial_state(run.initial)).y
     assert np.isfinite(y.dofs).all()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("experiment", ["oshape", "rectangle"])
+def test_envelope_factor_matches_dense_cholesky(experiment, level):
+    # the band factor, which each panel updates only on the rows its
+    # envelope reaches, equals LAPACK's Cholesky factor of the oracle R, and
+    # that factor has no entry below the rows the plan lets a panel reach.
+    # At level 3 a dense R would take 843 MB, so the band Cholesky of R's
+    # whole band stands in for the dense one there.
+    run = resolve(RunConfig(experiment=experiment, level=level))
+    flow = GradientFlow(run.mesh, run.params)
+    factorization = flow.system._factorize
+    Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
+    values = flow.system.assemble(Q)
+    R = reduced_matrix(flow.system, values)
+    N, width = factorization._columns.shape
+    if level < 3:
+        L = sp.csc_matrix(np.linalg.cholesky(R.toarray()))
+    else:
+        kd = factorization.kd
+        band = np.array([np.pad(R.diagonal(-offset), (0, offset)) for offset in range(kd + 1)])
+        band = cholesky_banded(band, lower=True)
+        L = sp.diags([band[offset, :N - offset] for offset in range(kd + 1)],
+                     -np.arange(kd + 1), format="csc")
+    factorization(values)
+    columns = factorization._columns
+    band_factor = sp.diags([columns[:N - offset, offset] for offset in range(width)],
+                           -np.arange(width), format="csc")
+    assert spla.norm(band_factor - L) <= 1e-12 * spla.norm(L)
+    last_row = np.concatenate([np.full(w, c + w + m - 1) for c, w, m in factorization.plan])
+    entries = L.tocoo()
+    assert (entries.row[entries.data != 0] <= last_row[entries.col[entries.data != 0]]).all()
 
 
 def test_minimum_degree_order_fills_no_more_than_superlu_order(monkeypatch):

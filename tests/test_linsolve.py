@@ -1,8 +1,9 @@
 import ctypes
+import re
 
 import numpy as np
 import pytest
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_lapack
 
 from plateflow import linsolve
 from plateflow.constraints import tangent_basis
@@ -117,21 +118,25 @@ def test_blockwise_matrix_matches_dense_product():
 
 def factored_matrix(system, values, monkeypatch):
     """What the system's factorization is handed for the block entries
-    `values`: the band array that `dpbtrf` receives, spread out into a dense
-    lower triangle, or a copy of the matrix that SuperLU receives."""
+    `values`: the band array as it stands before the first panel is factored,
+    spread out into a dense lower triangle, or a copy of the matrix that
+    SuperLU receives."""
     handed = []
     with monkeypatch.context() as patch:
         if side_of(system) == "band":
-            def dpbtrf(ab, *args, genuine=lapack.dpbtrf, **kwargs):
-                kd = ab.shape[0] - 1
-                N = ab.shape[1]
-                lower = np.zeros((N, N))
-                for offset in range(kd + 1):
-                    lower[np.arange(offset, N), np.arange(N - offset)] = ab[offset, :N - offset]
-                handed.append(lower)
-                return genuine(ab, *args, **kwargs)
+            columns = system._factorize._columns
 
-            patch.setattr(lapack, "dpbtrf", dpbtrf)
+            def dpotrf(*args, genuine=linsolve._dpotrf):
+                if not handed:
+                    N, width = columns.shape
+                    lower = np.zeros((N, N))
+                    for offset in range(width):
+                        lower[np.arange(offset, N), np.arange(N - offset)] = \
+                            columns[:N - offset, offset]
+                    handed.append(lower)
+                return genuine(*args)
+
+            patch.setattr(linsolve, "_dpotrf", dpotrf)
         else:
             def factor(M, *args, genuine=linsolve._factor, **kwargs):
                 handed.append(M.copy())
@@ -145,8 +150,8 @@ def factored_matrix(system, values, monkeypatch):
 def test_gathered_matrix_equals_scattered_blocks(monkeypatch):
     # each side hands its factorization exactly the bits of a scatter of
     # the blocks, with and without a diagonal on the value dofs: the band
-    # the lower triangle, zero outside the pattern, SuperLU the whole matrix
-    # on the pattern of the blocks
+    # the lower triangle, zero outside the pattern and in the rows past kd,
+    # SuperLU the whole matrix on the pattern of the blocks
     rng = np.random.default_rng(151)
     for side in on_each_side(monkeypatch):
         for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
@@ -178,18 +183,19 @@ def test_product_from_blocks(monkeypatch):
 
 
 def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
-    # the band factorization and its solves see one BLAS thread, and the
-    # caller's thread count is back after the solve; SuperLU calls neither
+    # every call of the band factorization and its solves sees one BLAS
+    # thread, and the caller's thread count is back after the solve; SuperLU
+    # calls none of them
     get_threads = ctypes.CDLL(cython_lapack.__file__).scipy_openblas_get_num_threads
     get_threads.argtypes = []
     get_threads.restype = ctypes.c_int
     seen = []
-    for name in ("dpbtrf", "dpbtrs"):
-        def recording(*args, routine=getattr(lapack, name), name=name, **kwargs):
+    for name in ("_dpotrf", "_dtrsm", "_dsyrk", "_dpbtrs"):
+        def recording(*args, routine=getattr(linsolve, name), name=name):
             seen.append((name, get_threads()))
-            return routine(*args, **kwargs)
+            return routine(*args)
 
-        monkeypatch.setattr(lapack, name, recording)
+        monkeypatch.setattr(linsolve, name, recording)
     previous = linsolve._set_blas_threads(2)
     try:
         for side in on_each_side(monkeypatch):
@@ -201,7 +207,9 @@ def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
             system.solve(Q, rng.standard_normal(A.shape[0]))
             assert get_threads() == before == 2, side
             if side == "band":
-                assert [name for name, _ in seen] == ["dpbtrf", "dpbtrs"]
+                names = [name for name, _ in seen]
+                assert set(names) == {"_dpotrf", "_dtrsm", "_dsyrk", "_dpbtrs"}
+                assert names[0] == "_dpotrf" and names[-1] == "_dpbtrs"
                 assert all(threads == 1 for _, threads in seen)
             else:
                 assert not seen
@@ -351,13 +359,26 @@ def test_deterministic_resolve(monkeypatch):
 
 
 def test_singular_system_raises(monkeypatch):
+    # the band side names the column where the factorization broke down, a
+    # column of the matrix, counted from 1 across its panels
     for side in on_each_side(monkeypatch):
         rng = np.random.default_rng(103)
         triangles = strip_triangles(rng, 4)
         system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
         assert side_of(system) == side
-        with pytest.raises(SaddleSolveError):
+        with pytest.raises(SaddleSolveError) as failure:
             system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
+        if side == "band":
+            column, N = map(int, re.search(r"column (\d+) of (\d+)", str(failure.value)).groups())
+            assert N == 24 and 1 <= column <= N
+    # a negative first diagonal entry in the last vertex's block: the band of
+    # 8 vertices breaks down at column 43 of 48, in its second panel
+    system, _, Q, _ = random_case(np.random.default_rng(109), 9)
+    assert side_of(system) == "band" and len(system._factorize.plan) == 2
+    values = system.assemble(Q).copy()
+    values[system._num_diagonal - 1, 0] = -1e3 * np.abs(values).max()
+    with pytest.raises(SaddleSolveError, match="column 43 of 48"):
+        system._factorize(values)
 
 
 def test_shape_mismatch_raises():
