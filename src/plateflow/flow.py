@@ -14,15 +14,12 @@ lumped mass on the third-component values).  The reduced matrix is symmetric
 positive definite, so a step is one sparse SPD solve.  Its pattern is the same
 in every step, so the flow builds it once, at construction, as a
 `linsolve.TangentSystem`: the element bending blocks summed per vertex pair,
-the fixed pattern of the reduced matrix, an order of the mesh's vertex graph,
-which numbers the free vertices and the free dofs, and the factorization.  A
-reverse Cuthill-McKee order whose band is narrow enough (levels 1-3 of the
-presets) is kept, and every step scatters the blocks of the reduced matrix
-into a band array and factors it there on one BLAS thread, with a blocked
-Cholesky whose panels update only the rows their envelope reaches;
-otherwise the vertices take a minimum degree order, and every step gathers
-the blocks into a sparse matrix that SuperLU factors.  The choice reads only
-the pattern.  A step computes the basis and the degeneracy check
+the fixed pattern of the reduced matrix, a reverse Cuthill-McKee order of
+the mesh's vertex graph, which numbers the free vertices and the free dofs,
+and the factorization.  Every step scatters the blocks of the reduced matrix
+into the storage of its envelope and factors it there on one BLAS thread,
+with a blocked Cholesky whose panels update only the rows their envelope
+reaches.  A step computes the basis and the degeneracy check
 in one pass over the nodal frames, then the blocks, and factors.  The new
 iterate is then evaluated once (`GradientFlow._evaluate`): its energies, and
 r_nl + r_pen, which the next step takes as its explicit data.  The iteration

@@ -15,24 +15,23 @@ A step computes the blocks of the pairs i <= j with a few batched small
 products; the value-value part of a block is S_ij[0, 0] times the identity,
 so its off-diagonal entries are exact zeros and are not stored.
 
-`TangentSystem` fixes the pairs once, and chooses at the same time how every
-step factors R, from the pattern alone.  In a reverse Cuthill-McKee order of
-the vertex graph (Cuthill & McKee, 1969; George & Liu, *Computer Solution of
-Large Sparse Positive Definite Systems*, 1981) R is a band matrix with
-kd = 6 b + 5 subdiagonals, b the largest distance between the numbers of two
-neighbouring vertices.  When kd is small enough the vertices keep that order,
-a step scatters the blocks straight into a band array, at positions fixed at
-set-up, and a blocked Cholesky factors it there on one BLAS thread.  The
-factor has no entry outside the envelope of R, the entries from the first
-one of each row to the diagonal (George & Liu, Thm 4.1.1), so each panel of
-columns updates only the rows its envelope reaches, with dense BLAS and
-LAPACK kernels, and LAPACK's `dpbtrs` solves with the factor.  Otherwise the
-vertices are numbered by two minimum degree passes, a step gathers the
-blocks into a compressed sparse column matrix, and SuperLU factors it with
-diagonal pivots.  On both sides the residual R u and ||R||_inf are computed
-from the blocks.  A single step of iterative refinement keeps the
-solve within its normwise backward-error contract.  Factorizations are
-deterministic: identical inputs yield bit-identical solutions.
+`TangentSystem` fixes the pairs once, and with them how every step factors
+R, from the pattern alone.  The vertices are numbered in a reverse
+Cuthill-McKee order of their graph (Cuthill & McKee, 1969; George & Liu,
+*Computer Solution of Large Sparse Positive Definite Systems*, 1981), which
+keeps the envelope of R small: the entries from the first one of each row to
+the diagonal.  The Cholesky factor has no entry outside the envelope (George
+& Liu, Thm 4.1.1), so only the envelope is stored, column by column in runs
+of columns that share a leading dimension (Jennings, Comput. J. 9, 1966).  A
+step scatters the blocks straight into that storage, at positions fixed at
+set-up, and a blocked Cholesky factors it there on one BLAS thread: each
+panel of columns updates only the rows its envelope reaches, with dense BLAS
+and LAPACK kernels, and a band triangular solve on each run, with
+matrix-vector products between the runs, solves with the factor.  The
+residual R u and ||R||_inf are computed from the blocks.  A single step of
+iterative refinement keeps the solve within its normwise backward-error
+contract.  Factorizations are deterministic:
+identical inputs yield bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -41,38 +40,18 @@ import ctypes
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import cython_blas, cython_lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # ||R u - b||_inf <= BACKWARD_ERROR_TOL (||R||_inf ||u||_inf + ||b||_inf).
-# Measured backward errors of the flow steps are at most 5e-16 (levels 1-4,
-# cantilever loads); the tolerance sits three orders of magnitude above them.
+# Measured backward errors of the flow steps, before refinement, are at most
+# 4.2e-16 (the O-shape, rectangle and obstacle presets at levels 1-2, the
+# O-shape and rectangle at levels 3-4); the tolerance sits three orders of
+# magnitude above them.
 BACKWARD_ERROR_TOL = 1e-12
 
-# The widest band, in subdiagonals kd, that is factored as a band.  The kd
-# of the reverse Cuthill-McKee order are 71, 119, 215 and 407 on the O-shape
-# meshes of levels 1-4, 65, 107, 209 and 401 on the rectangle meshes.
-# Median factorization times in ms, on one BLAS thread, of 15 factorizations
-# after 2 (5 at level 4; 2-core shared machine):
-#
-#   mesh, level    kd   dpbtrf   envelope panels   SuperLU
-#   O-shape 1      71   0.67     0.55              2.5
-#   O-shape 2     119   3.6      2.6               10.8
-#   O-shape 3     215   30       18                65
-#   rectangle 3   209   44       41                327
-#   O-shape 4     407   293      141               397
-#
-# With more threads the band kernels cost more than they save at these
-# widths, so the band runs on one (`_one_blas_thread`), and then wins at
-# every level.  Level 4 stays with SuperLU all the same, for memory: the band
-# array holds N (ld + 1) doubles for N unknowns, ld a few rows past kd,
-# 127 MiB on the O-shape at level 4 (about 900 MiB at level 5), against about
-# 70 MB of SuperLU's L and U, which are freed after every step.  The bound
-# sits inside the gap between 215 and 401.
-_MAX_BAND_KD = 300
-
-# The columns of a panel of the band factorization; 24 and 32 measure alike.
+# The columns of a panel of the band factorization, a multiple of the six
+# unknowns of a vertex; 24 and 32 measure alike.
 _PANEL = 24
 
 # The 30 stored entries (row a, column b) of a 6x6 block R_ij, in the order
@@ -83,17 +62,6 @@ _C, _M = np.divmod(np.arange(9, dtype=np.int32), 3)
 _V = np.arange(3, dtype=np.int32)
 _BLOCK_ROWS = np.concatenate([_V, _C, 3 + _M, 3 + _C])
 _BLOCK_COLS = np.concatenate([_V, 3 + _M, _C, 3 + _M])
-# per block column b: entries stored (a value column holds its own value row
-# and the three kernel rows) and where the column starts inside the block
-_COL_SIZE = np.array([4, 4, 4, 6, 6, 6], dtype=np.int32)
-_COL_START = np.array([0, 4, 8, 12, 18, 24], dtype=np.int32)
-# position of row a inside block column b
-_ROW_OFFSET = np.where(_BLOCK_COLS < 3,
-                       np.where(_BLOCK_ROWS == _BLOCK_COLS, 0, _BLOCK_ROWS - 2),
-                       _BLOCK_ROWS)
-# the entry (b, a) of each stored entry (a, b)
-_ENTRY = {(a, b): e for e, (a, b) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS))}
-_TRANSPOSED = np.array([_ENTRY[b, a] for a, b in zip(_BLOCK_ROWS, _BLOCK_COLS)])
 
 # OpenBLAS's thread count.  `cython_lapack` links the OpenBLAS that `lapack`
 # calls; in it this sets the count of the whole process and returns the
@@ -121,9 +89,11 @@ def _routine(module, name):
 
 
 _dpotrf = _routine(cython_lapack, "dpotrf")
-_dpbtrs = _routine(cython_lapack, "dpbtrs")
 _dtrsm = _routine(cython_blas, "dtrsm")
 _dsyrk = _routine(cython_blas, "dsyrk")
+_dgemm = _routine(cython_blas, "dgemm")
+_dtbsv = _routine(cython_blas, "dtbsv")
+_dgemv = _routine(cython_blas, "dgemv")
 
 
 def _int_ref(value):
@@ -133,7 +103,7 @@ def _int_ref(value):
 _LOWER, _RIGHT, _TRANSPOSE, _NO_TRANSPOSE = (ctypes.c_char_p(flag)
                                               for flag in (b"L", b"R", b"T", b"N"))
 _PLUS_ONE, _MINUS_ONE = (ctypes.pointer(ctypes.c_double(x)) for x in (1.0, -1.0))
-_ONE_RHS = _int_ref(1)
+_ONE = _int_ref(1)
 
 
 class SaddleSolveError(RuntimeError):
@@ -183,27 +153,12 @@ def vertex_pair_blocks(triangles, element_matrices, vertices):
     return keys % n, keys // n, blocks[:9 * num_pairs].reshape(-1, 3, 3)
 
 
-def _factor(M, permc_spec):
-    """SuperLU factorization of M, symmetric in pattern, with diagonal pivots."""
-    return spla.splu(M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
-
-
 def _graph(rows, cols, n):
-    """A diagonally dominant CSC matrix whose pattern is the graph with the
-    edges (rows[p], cols[p]), both ways round and including the diagonal."""
+    """A CSC matrix whose pattern is the graph with the edges
+    (rows[p], cols[p]), both ways round and including the diagonal."""
     order = np.argsort(cols * n + rows)
-    rows, cols = rows[order], cols[order]
-    degree = np.bincount(cols, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-    data = np.where(rows == cols, degree[cols] + 1.0, 1.0)
-    return sp.csc_matrix((data, rows, indptr), shape=(n, n))
-
-
-def _minimum_degree_rank(rows, cols, n) -> np.ndarray:
-    """Position of each vertex in a minimum degree order of the graph, read
-    off a factorization of its matrix."""
-    return _factor(_graph(rows, cols, n), "MMD_AT_PLUS_A").perm_c.astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return sp.csc_matrix((np.ones(len(rows)), rows[order], indptr), shape=(n, n))
 
 
 def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
@@ -215,28 +170,40 @@ def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
 
 
 class _BandCholesky:
-    """Blocked Cholesky factorization, in LAPACK's lower band storage, of the
-    matrices R with the blocks of the pairs (rows[p], cols[p]), rows <= cols
-    and the diagonal pairs first, of n vertices, whose lower triangle lies
-    within `kd` subdiagonals.
+    """Blocked Cholesky factorization, on the envelope, of the matrices R with
+    the blocks of the pairs (rows[p], cols[p]), rows <= cols and the diagonal
+    pairs first, of n vertices.
 
     Row i of R has its first entry in the first column of the lowest
     neighbour of its vertex, and the factor L has no entry outside this
     envelope (George & Liu, 1981, Thm 4.1.1).  So each panel of `_PANEL`
-    columns updates only the rows its envelope reaches: `dpotrf` on the
-    diagonal block, `dtrsm` on the m rows below it, and `dsyrk` on the m x m
-    block that follows, all three on a dense view of the band array with
-    leading dimension ld, as `dpbtrf` does on the whole band.  The plan of
-    the panels is fixed here, from the pattern alone.
+    columns updates only the m rows below it that its envelope reaches:
+    `dpotrf` on the diagonal block, `dtrsm` on the m rows below it, and
+    `dsyrk` on the m x m block that follows, all on a dense view of the
+    stored columns, as `dpbtrf` does on a whole band.  The plan of the panels
+    is fixed here, from the pattern alone.
+
+    The columns are stored in segments, runs of whole panels.  Column j of a
+    segment holds the ld + 1 entries (j, j) to (j + ld, j) and the next column
+    follows it, so in the dense view of the segment, with leading dimension
+    ld, entry (i, j) lies i - j entries after the start of column j.  The ld
+    of a segment is the deepest dense view of its panels, and a segment
+    closes after the first panel that gives it more columns than its ld.  The
+    reach of the columns never decreases, so the first panel of the next
+    segment reaches every row that the trailing block of a panel reaches:
+    that block crosses at most one boundary, and the dense view of the next
+    segment holds the part past it, which a `dsyrk` updates there after a
+    `dgemm` on the rows below the part before it.  The solves run `dtbsv` on
+    each segment as a band and carry the rows of the next segment over with
+    `dgemv` on the panels that reach them.
 
     Calling it with the stored entries of the blocks (pairs, 30) scatters them
-    into a band array allocated once, factors R there, replacing the previous
+    into the storage, allocated once, factors R there, replacing the previous
     factorization, and returns the factorization.
     """
 
-    def __init__(self, rows, cols, n, kd):
+    def __init__(self, rows, cols, n):
         N = 6 * n
-        self.kd = kd
         # The envelope: row 6 v + a of R starts no further left than column
         # 6 u, u the lowest neighbour of vertex v, and reach[j] is the last
         # row whose envelope holds column j.  A panel reaches the rows below
@@ -249,115 +216,140 @@ class _BandCholesky:
         first = np.arange(0, N, _PANEL)
         width = np.minimum(_PANEL, N - first)
         below = reach[first + width - 1] + 1 - (first + width)
+        self.plan = list(zip(first.tolist(), width.tolist(), below.tolist()))
         # A panel's dense view reaches width + below - 1 rows below its first
-        # diagonal entry; ld leaves room for them in every column of the band
-        # array, so that the view never runs into the next column, and is at
-        # least a panel's width, as LAPACK asks.  The rows past kd hold exact
-        # zeros, by the envelope.
-        ld = max(kd, int((width + below - 1).max()), int(width.max()))
-        # row j of `_columns` holds column j of the band, entry (i, j) at
-        # i - j, so entry (i, j) of the dense view is at i + ld j; its
-        # transpose is the Fortran-ordered array that LAPACK reads
-        self._band = np.zeros(N * (ld + 1))
-        self._columns = self._band.reshape(N, ld + 1)
+        # diagonal entry, and is at least as deep as the panel is wide, as
+        # LAPACK asks.
+        depth = np.maximum(width + below - 1, width).tolist()
+        self.segments = []  # (first column, end column, ld)
+        start = ld = 0
+        for (c, w, _), panel_depth in zip(self.plan, depth):
+            ld = max(ld, panel_depth)
+            if c + w - start > ld or c + w == N:
+                self.segments.append((start, c + w, ld))
+                start, ld = c + w, 0
+        sizes = [(end - start) * (ld + 1) for start, end, ld in self.segments]
+        self._store = np.empty(sum(sizes))  # each factorization zeroes it first
+        column_start = np.concatenate([
+            offset + (ld + 1) * np.arange(end - start)
+            for offset, (start, end, ld) in zip(np.cumsum([0, *sizes]), self.segments)])
         # The entry (a, b) of the block of the pair (i, j) goes to column
-        # 6 i + a of the band at 6 (j - i) + b - a, transposed into the lower
-        # triangle, when i < j.  A diagonal block keeps its lower triangle in
-        # place, and its strictly upper entries, whose transposes are stored
-        # as well, are left out.
-        self._num_diagonal = int(np.count_nonzero(rows == cols))
-        self._start = 6 * (ld + 1) * rows + 6 * (cols - rows)
-        self._offset = (ld + 1) * _BLOCK_ROWS + _BLOCK_COLS - _BLOCK_ROWS
+        # 6 i + a at row 6 j + b, transposed into the lower triangle, when
+        # i < j.  A diagonal block keeps its lower triangle in place, and its
+        # strictly upper entries, whose transposes are stored as well, are
+        # left out.  The six columns of a vertex lie in one segment, as a
+        # panel is a whole number of vertices wide, so column 6 i + a starts
+        # a (ld + 1) entries after column 6 i.
+        height = np.repeat([ld + 1 for _, _, ld in self.segments],
+                           [end - start for start, end, _ in self.segments])[6 * rows]
+        vertex_start = column_start[6 * rows]
+        d = int(np.count_nonzero(rows == cols))
         self._diagonal_entries = np.flatnonzero(_BLOCK_ROWS >= _BLOCK_COLS)
         a, b = _BLOCK_ROWS[self._diagonal_entries], _BLOCK_COLS[self._diagonal_entries]
-        self._diagonal_offset = (ld + 1) * b + a - b
+        self._diagonal_positions = vertex_start[:d, None] + np.multiply.outer(height[:d], b) + a - b
+        positions = np.multiply.outer(height[d:], _BLOCK_ROWS)
+        positions += (vertex_start + 6 * (cols - rows))[d:, None]
+        positions += _BLOCK_COLS - _BLOCK_ROWS
+        self._positions = positions
+        self._num_diagonal = d
+
         # The arguments of the calls, by reference.  The addresses point into
-        # `_band`, which is never reallocated; the block that a panel updates
-        # starts at the diagonal of the next panel.
-        self.plan = list(zip(first.tolist(), width.tolist(), below.tolist()))
-        ints = {v: _int_ref(v) for v in {N, kd, ld, ld + 1, *width.tolist(), *below.tolist()}}
-        address, double = self._band.ctypes.data, self._band.itemsize
-        diagonal = [ctypes.c_void_p(address + double * (ld + 1) * c)
-                    for c in [*first.tolist(), N]]
-        self._calls = [(c, ints[w], ints[m] if m else None, diagonal[k],
-                        ctypes.c_void_p(address + double * ((ld + 1) * c + w)), diagonal[k + 1])
-                       for k, (c, w, m) in enumerate(self.plan)]
-        self._N_ref, self._kd_ref, self._ld_ref, self._ldab_ref = (
-            ints[v] for v in (N, kd, ld, ld + 1))
+        # `_store` and the solution `_x`, which are never reallocated.
+        self._x = np.empty(N)
         self._info = ctypes.c_int(0)
+        info = ctypes.byref(self._info)
+        ints = {}
+
+        def int_ref(value):
+            if value not in ints:
+                ints[value] = _int_ref(value)
+            return ints[value]
+
+        store, x, double = self._store.ctypes.data, self._x.ctypes.data, self._x.itemsize
+        column_start = column_start.tolist()
+
+        def at(i, j):
+            """Entry (i, j) of the dense views."""
+            return ctypes.c_void_p(store + double * (column_start[j] + i - j))
+
+        def x_at(i):
+            return ctypes.c_void_p(x + double * i)
+
+        self._panels, forward, backward = [], [], []
+        panels = iter(self.plan)
+        for k, (start, end, ld) in enumerate(self.segments):
+            ld_ref = int_ref(ld)
+            next_ld_ref = int_ref(self.segments[k + 1][2]) if k + 1 < len(self.segments) else None
+            band = (int_ref(end - start), ld_ref, at(start, start), int_ref(ld + 1),
+                    x_at(start), _ONE)
+            forward.append((_dtbsv, (_LOWER, _NO_TRANSPOSE, _NO_TRANSPOSE, *band)))
+            carries = []
+            for c, w, m in panels:
+                # the trailing block: rows and columns top to bottom - 1, of
+                # which those from split on lie in the next segment
+                top, bottom = c + w, c + w + m
+                split = min(max(top, end), bottom)
+                w_ref, diagonal, below = int_ref(w), at(c, c), at(top, c)
+                updates = []
+                if m:
+                    updates.append((_dtrsm, (_RIGHT, _LOWER, _TRANSPOSE, _NO_TRANSPOSE, int_ref(m),
+                                             w_ref, _PLUS_ONE, diagonal, ld_ref, below, ld_ref)))
+                if split > top:
+                    updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, int_ref(split - top), w_ref,
+                                             _MINUS_ONE, below, ld_ref, _PLUS_ONE, at(top, top),
+                                             ld_ref)))
+                if bottom > split:
+                    rest, rows_past = at(split, c), int_ref(bottom - split)
+                    if split > top:
+                        updates.append((_dgemm, (_NO_TRANSPOSE, _TRANSPOSE, rows_past,
+                                                 int_ref(split - top), w_ref, _MINUS_ONE, rest,
+                                                 ld_ref, below, ld_ref, _PLUS_ONE, at(split, top),
+                                                 ld_ref)))
+                    updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, rows_past, w_ref, _MINUS_ONE,
+                                             rest, ld_ref, _PLUS_ONE, at(split, split),
+                                             next_ld_ref)))
+                    # the solves carry the panel over to the rows of the next
+                    # segment that it reaches
+                    carry = (rows_past, w_ref, _MINUS_ONE, rest, ld_ref)
+                    x_panel, x_past = x_at(c), x_at(split)
+                    forward.append((_dgemv, (_NO_TRANSPOSE, *carry, x_panel, _ONE, _PLUS_ONE,
+                                             x_past, _ONE)))
+                    carries.append((_dgemv, (_TRANSPOSE, *carry, x_past, _ONE, _PLUS_ONE,
+                                              x_panel, _ONE)))
+                self._panels.append((c, (_LOWER, w_ref, diagonal, ld_ref, info), updates))
+                if top == end:
+                    break
+            backward[:0] = [*carries, (_dtbsv, (_LOWER, _TRANSPOSE, _NO_TRANSPOSE, *band))]
+        # L y = b segment by segment, then L^T x = y from the last segment back
+        self._substitutions = forward + backward
 
     def __call__(self, values):
-        band, start, d = self._band, self._start, self._num_diagonal
-        band.fill(0.0)
-        band[start[:d, None] + self._diagonal_offset] = values[:d, self._diagonal_entries]
-        band[start[d:, None] + self._offset] = values[d:]
+        store, d = self._store, self._num_diagonal
+        store.fill(0.0)
+        store[self._diagonal_positions] = values[:d, self._diagonal_entries]
+        store[self._positions] = values[d:]
         _one_blas_thread(self._factor_panels)
         return self
 
     def _factor_panels(self):
-        ld, info = self._ld_ref, self._info
-        for column, w, m, diagonal, below, trailing in self._calls:
-            _dpotrf(_LOWER, w, diagonal, ld, ctypes.byref(info))
+        info = self._info
+        for column, arguments, updates in self._panels:
+            _dpotrf(*arguments)
             if info.value:
                 raise SaddleSolveError(
                     f"band Cholesky factorization failed at column {column + info.value} "
-                    f"of {len(self._columns)}: the matrix is not positive definite")
-            if m is not None:
-                _dtrsm(_RIGHT, _LOWER, _TRANSPOSE, _NO_TRANSPOSE, m, w, _PLUS_ONE, diagonal, ld,
-                       below, ld)
-                _dsyrk(_LOWER, _NO_TRANSPOSE, m, w, _MINUS_ONE, below, ld, _PLUS_ONE, trailing, ld)
+                    f"of {self._x.size}: the matrix is not positive definite")
+            for routine, arguments in updates:
+                routine(*arguments)
 
     def solve(self, b):
-        x = np.array(b, dtype=np.float64)
-        _one_blas_thread(_dpbtrs, _LOWER, self._N_ref, self._kd_ref, _ONE_RHS, self._band.ctypes,
-                         self._ldab_ref, x.ctypes, self._N_ref, ctypes.byref(self._info))
-        return x
+        self._x[:] = b
+        _one_blas_thread(self._substitute)
+        return self._x.copy()
 
-
-class _SuperLU:
-    """SuperLU factorization, in the given order, of the matrices R with the
-    blocks of the pairs (rows[p], cols[p]), rows <= cols, of n vertices.
-
-    Calling it with the stored entries of the blocks (pairs, 30) gathers them
-    into a compressed sparse column matrix allocated once and returns its
-    factorization.
-    """
-
-    def __init__(self, rows, cols, n):
-        # every pair: the given ones, then the transposes (j, i) of the
-        # off-diagonal ones, sorted by column, then row
-        off = np.flatnonzero(rows != cols)
-        pair = np.concatenate([np.arange(len(rows)), off])
-        entry = np.where((np.arange(len(pair)) < len(rows))[:, None], np.arange(30), _TRANSPOSED)
-        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-        order = np.argsort(cols * n + rows)
-        rows, cols, pair, entry = rows[order], cols[order], pair[order], entry[order]
-        # column 6 j + b holds, for each pair (i, j) in turn, the stored rows
-        # of block column b; the pair's rank in its column follows from the
-        # sorted order
-        num_pairs = len(rows)
-        degree = np.bincount(cols, minlength=n)
-        first = np.concatenate([[0], np.cumsum(degree)[:-1]])
-        indptr = np.append(30 * first[:, None] + degree[:, None] * _COL_START,
-                           30 * num_pairs).astype(np.int32)
-        in_column = (np.arange(num_pairs) - first[cols]).astype(np.int32)
-        # where the entries of a pair start in each of its six columns
-        starts = indptr[:-1].reshape(n, 6)[cols] + in_column[:, None] * _COL_SIZE
-        positions = starts[:, _BLOCK_COLS] + _ROW_OFFSET
-        indices = np.empty(30 * num_pairs, dtype=np.int32)
-        indices[positions] = 6 * rows[:, None] + _BLOCK_ROWS
-        self._matrix = sp.csc_matrix((np.zeros(30 * num_pairs), indices, indptr),
-                                     shape=(6 * n, 6 * n))
-        # the stored block entry that each stored entry of the matrix takes
-        self._source = np.empty(30 * num_pairs, dtype=np.intp)
-        self._source[positions] = 30 * pair[:, None] + entry
-
-    def __call__(self, values):
-        np.take(values.reshape(-1), self._source, out=self._matrix.data, mode="clip")
-        try:
-            return _factor(self._matrix, "NATURAL")
-        except (RuntimeError, ValueError) as exc:
-            raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
+    def _substitute(self):
+        for routine, arguments in self._substitutions:
+            routine(*arguments)
 
 
 class TangentSystem:
@@ -373,9 +365,8 @@ class TangentSystem:
     `vertices` holds the free vertices in the elimination order chosen here;
     every per-vertex array passed to `assemble` and `solve` and every dof
     vector follows it, nine dofs (component-major, then value, d1, d2) per
-    vertex.  The order is a reverse Cuthill-McKee order when R has at most
-    `_MAX_BAND_KD` subdiagonals in it, and R is then factored as a band;
-    otherwise it is a minimum degree order, and SuperLU factors R.
+    vertex.  The order is a reverse Cuthill-McKee order, and R is factored
+    on its envelope in it.
     """
 
     def __init__(self, triangles, element_matrices, free_vertices,
@@ -383,21 +374,7 @@ class TangentSystem:
         n = len(free_vertices)
         rows, cols, blocks = vertex_pair_blocks(triangles, element_matrices, free_vertices)
 
-        # Number the vertices.  A vertex spans six unknowns of R, so in the
-        # reverse Cuthill-McKee order R has 6 b + 5 subdiagonals, b the
-        # largest difference of the numbers of two neighbours; a narrow band
-        # keeps that order.  Otherwise the order is minimum degree, which
-        # breaks ties by the numbering it is given, so it runs twice, the
-        # second time from the first order: on the O-shape meshes that fills
-        # less at levels 1, 2 and 4 (45 984 -> 43 740, 210 096 -> 205 026 and
-        # 5.95 -> 5.89 million stored entries of L and U) and 0.6 % more at
-        # level 3.
         rank = _reverse_cuthill_mckee_rank(rows, cols, n)
-        kd = 6 * int(np.abs(rank[rows] - rank[cols]).max(initial=0)) + 5
-        banded = kd <= _MAX_BAND_KD
-        if not banded:
-            first = _minimum_degree_rank(rows, cols, n)
-            rank = _minimum_degree_rank(first[rows], first[cols], n)[first]
         self.vertices = free_vertices[np.argsort(rank)]
         rows, cols = rank[rows], rank[cols]
 
@@ -423,8 +400,7 @@ class TangentSystem:
         # blocks add to in ||R||_inf: 6 i + a, then 6 j + b
         self._sum_target = np.concatenate([6 * self._rows + np.arange(6)[:, None],
                                            6 * self._cols + np.arange(6)[:, None]]).reshape(-1)
-        self._factorize = (_BandCholesky(self._rows, self._cols, n, kd) if banded
-                           else _SuperLU(self._rows, self._cols, n))
+        self._factorize = _BandCholesky(self._rows, self._cols, n)
         self._value_diagonal = (None if value_diagonal is None
                                 else np.asarray(value_diagonal)[self.vertices])
 
@@ -488,8 +464,7 @@ class TangentSystem:
         """Return the dofs d = Z u with (Z^T A Z) u = Z^T rhs.
 
         A must be positive definite on the range of Z.  R is factorized in the
-        order of `vertices`, with no further reordering, as a band or by
-        SuperLU as chosen at construction.  Raises
+        order of `vertices`, with no further reordering.  Raises
         SaddleSolveError on a numerically singular factorization or an unmet
         backward-error bound (never silent garbage).
         """

@@ -117,6 +117,25 @@ def reduced_matrix(system, values):
                          shape=(N, N))
 
 
+def stored_lower(factorization):
+    """The lower triangle that the envelope storage of a band Cholesky holds,
+    as a CSC matrix: its segments follow each other, and column j of a
+    segment with leading dimension ld holds the rows j to j + ld."""
+    N = factorization.segments[-1][1]
+    rows, cols, positions = [], [], []
+    offset = 0
+    for first, end, ld in factorization.segments:
+        j = np.repeat(np.arange(first, end), ld + 1)
+        i = j + np.tile(np.arange(ld + 1), end - first)
+        kept = i < N
+        rows.append(i[kept])
+        cols.append(j[kept])
+        positions.append(offset + np.flatnonzero(kept))
+        offset += (end - first) * (ld + 1)
+    return sp.csc_matrix((factorization._store[np.concatenate(positions)],
+                          (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
+
+
 def coo_bending_stiffness(mesh):
     """The bending stiffness K assembled from a COO list of the 81 entries of
     each element block and component, which `tocsr` sorts and sums."""

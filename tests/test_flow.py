@@ -10,13 +10,13 @@ from scipy.linalg import cholesky_banded
 
 from plateflow import linsolve, mesh as pm
 from plateflow.constraints import identity_boundary_data, tangent_basis
-from plateflow.dkt import flat_embedding, vertex_lumped_masses
+from plateflow.dkt import DktDofMap, flat_embedding, vertex_lumped_masses
 from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_safeguard
 from plateflow.presets import RunConfig, resolve
 
 from conftest import (dense_basis, flat_update_rounding_scale, penalty_rhs, random_field,
-                      reduced_matrix)
+                      reduced_matrix, stored_lower)
 
 
 def small_oshape():
@@ -176,10 +176,9 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_flow_orders_tangent_system(level):
-    # at levels 1-3 the flow numbers the free vertices once, in a band order,
-    # and every step factors R as a band: the order is a permutation of the
-    # free vertices, and R in it has exactly the half-bandwidth kd of the
-    # band factorization
+    # the flow numbers the free vertices once, in a band order, and every
+    # step factors R on its envelope: the order is a permutation of the free
+    # vertices, and the stored columns hold every entry of R's lower triangle
     run = resolve(RunConfig(experiment="oshape", level=level))
     flow = GradientFlow(run.mesh, run.params)
     assert np.array_equal(np.sort(flow.free_vertices), flow.dofmap.free_vertices)
@@ -188,8 +187,10 @@ def test_flow_orders_tangent_system(level):
     assert isinstance(factorization, linsolve._BandCholesky)
     Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
     R = reduced_matrix(flow.system, flow.system.assemble(Q)).tocoo()
-    assert factorization._columns.shape[0] == R.shape[0]
-    assert (R.row - R.col).max() == factorization.kd
+    assert factorization.segments[-1][1] == R.shape[0]
+    column_ld = np.concatenate([np.full(end - first, ld)
+                                for first, end, ld in factorization.segments])
+    assert (R.row - R.col <= column_ld[R.col]).all()
     y = flow.step(flow.initial_state(run.initial)).y
     assert np.isfinite(y.dofs).all()
 
@@ -197,69 +198,70 @@ def test_flow_orders_tangent_system(level):
 @pytest.mark.parametrize("level", [1, 2, 3])
 @pytest.mark.parametrize("experiment", ["oshape", "rectangle"])
 def test_envelope_factor_matches_dense_cholesky(experiment, level):
-    # the band factor, which each panel updates only on the rows its
-    # envelope reaches, equals LAPACK's Cholesky factor of the oracle R, and
-    # that factor has no entry below the rows the plan lets a panel reach.
-    # At level 3 a dense R would take 843 MB, so the band Cholesky of R's
-    # whole band stands in for the dense one there.
+    # the factor in the envelope storage, which each panel updates only on
+    # the rows its envelope reaches, equals LAPACK's Cholesky factor of the
+    # oracle R, and that factor has no entry below the rows the plan lets a
+    # panel reach.  At level 3 a dense R would take 843 MB, so the band
+    # Cholesky of R's whole band stands in for the dense one there.
     run = resolve(RunConfig(experiment=experiment, level=level))
     flow = GradientFlow(run.mesh, run.params)
     factorization = flow.system._factorize
     Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
     values = flow.system.assemble(Q)
     R = reduced_matrix(flow.system, values)
-    N, width = factorization._columns.shape
+    N = R.shape[0]
     if level < 3:
         L = sp.csc_matrix(np.linalg.cholesky(R.toarray()))
     else:
-        kd = factorization.kd
+        entries = R.tocoo()
+        kd = (entries.row - entries.col).max()
         band = np.array([np.pad(R.diagonal(-offset), (0, offset)) for offset in range(kd + 1)])
         band = cholesky_banded(band, lower=True)
         L = sp.diags([band[offset, :N - offset] for offset in range(kd + 1)],
                      -np.arange(kd + 1), format="csc")
     factorization(values)
-    columns = factorization._columns
-    band_factor = sp.diags([columns[:N - offset, offset] for offset in range(width)],
-                           -np.arange(width), format="csc")
+    band_factor = stored_lower(factorization)
     assert spla.norm(band_factor - L) <= 1e-12 * spla.norm(L)
     last_row = np.concatenate([np.full(w, c + w + m - 1) for c, w, m in factorization.plan])
     entries = L.tocoo()
     assert (entries.row[entries.data != 0] <= last_row[entries.col[entries.data != 0]]).all()
 
 
-def test_minimum_degree_order_fills_no_more_than_superlu_order(monkeypatch):
-    # on the SuperLU side, forced at O-shape level 3, R is factored in the
-    # minimum degree order of the vertices; it fills no more than SuperLU's
-    # own minimum degree order of the same matrix
-    monkeypatch.setattr(linsolve, "_MAX_BAND_KD", -1)
-    run = resolve(RunConfig(experiment="oshape", level=3))
-    flow = GradientFlow(run.mesh, run.params)
-    assert isinstance(flow.system._factorize, linsolve._SuperLU)
-    Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
-    R = reduced_matrix(flow.system, flow.system.assemble(Q))
-
-    def fill(spec):
-        return spla.splu(R, permc_spec=spec, diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True)).nnz
-
-    assert fill("NATURAL") <= fill("MMD_AT_PLUS_A")
-
-
 @pytest.mark.parametrize("experiment", ["oshape", "rectangle"])
 def test_factorization_chosen_from_the_pattern(experiment):
-    # levels 1-3 are factored as a band, level 4 by SuperLU; a system
-    # rebuilt from copies of its inputs takes the same side and order
+    # levels 1-4 are factored as a band; a system rebuilt from copies of its
+    # inputs takes the same order
     for level in (1, 2, 3, 4):
         run = resolve(RunConfig(experiment=experiment, level=level))
         mesh = run.mesh
         flow = GradientFlow(mesh, run.params)
-        banded = isinstance(flow.system._factorize, linsolve._BandCholesky)
-        assert banded == (level <= 3), level
+        assert isinstance(flow.system._factorize, linsolve._BandCholesky), level
         again = linsolve.TangentSystem(mesh.triangles.copy(),
                                        (1.0 + run.params.tau) * flow.ops.bending.copy(),
                                        flow.dofmap.free_vertices.copy())
-        assert isinstance(again._factorize, linsolve._BandCholesky) == banded
+        assert isinstance(again._factorize, linsolve._BandCholesky)
         assert np.array_equal(again.vertices, flow.free_vertices)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_envelope_storage_is_smaller_than_the_band(level):
+    # built from the pattern alone, without a factorization: the storage
+    # holds exactly the segments of the plan, fewer doubles than a band
+    # whose every column is as deep as the deepest segment, and every
+    # trailing block of a panel lies in its own segment and the next
+    mesh = resolve(RunConfig(experiment="oshape", level=level)).mesh
+    free = DktDofMap.from_mesh(mesh).free_vertices
+    system = linsolve.TangentSystem(mesh.triangles, np.zeros((len(mesh.triangles), 9, 9)), free)
+    factorization = system._factorize
+    segments = factorization.segments
+    N = 6 * len(free)
+    assert factorization._store.size == sum((end - first) * (ld + 1)
+                                            for first, end, ld in segments)
+    assert factorization._store.size < N * (max(ld for _, _, ld in segments) + 1)
+    ends = np.array([end for _, end, _ in segments])
+    for c, w, m in factorization.plan:
+        k = np.searchsorted(ends, c, side="right")
+        assert c + w + m <= ends[min(k + 1, len(ends) - 1)]
 
 
 @pytest.mark.parametrize("mode", ["isometry_flow", "penalized_flow"])

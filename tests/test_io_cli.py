@@ -209,6 +209,20 @@ def test_unknown_experiment_rejected():
         RunConfig(experiment="moebius")
 
 
+def test_levels_past_the_memory_cap_rejected(tmp_path, capsys):
+    # level 5 resolves; level 6 is refused with the memory its factorization
+    # would take, by resolve and by the command line, before any output
+    assert resolve(RunConfig(experiment="oshape", level=5)).mesh.num_vertices > 0
+    with pytest.raises(ConfigError, match=r"level 6 .* 4\.2 GiB"):
+        resolve(RunConfig(experiment="oshape", level=6))
+    with pytest.raises(ConfigError, match=r"10\.0 GiB"):
+        resolve(RunConfig(experiment="rectangle", level=7))
+    out = tmp_path / "run"
+    assert main(["--level", "6", "--out", str(out)]) == 2
+    assert "GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_mismatch_rejected(tmp_path, rect_l2):
     rng = np.random.default_rng(107)
     pio.save_field(random_field(rect_l2, rng), tmp_path / "ck.field")

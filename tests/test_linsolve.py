@@ -9,7 +9,7 @@ from plateflow import linsolve
 from plateflow.constraints import tangent_basis
 from plateflow.linsolve import SaddleSolveError, TangentSystem
 
-from conftest import GRAD_DOFS, dense_basis, reduced_matrix
+from conftest import GRAD_DOFS, dense_basis, reduced_matrix, stored_lower
 
 
 def dense_kkt_oracle(A, B, rhs):
@@ -70,22 +70,9 @@ def constraint_matrix(grads):
     return B
 
 
-# `_MAX_BAND_KD` values that send every system to one side: the band
-# Cholesky or SuperLU
-SIDES = {"band": 10**9, "superlu": -1}
-
-
-def on_each_side(monkeypatch):
-    """Yield the name of each factorization side in turn; a TangentSystem
-    built in the loop body takes that side."""
-    for side, max_kd in SIDES.items():
-        with monkeypatch.context() as patch:
-            patch.setattr(linsolve, "_MAX_BAND_KD", max_kd)
-            yield side
-
-
-def side_of(system):
-    return "band" if isinstance(system._factorize, linsolve._BandCholesky) else "superlu"
+# Vertex counts of the random cases: 9 give one segment of envelope
+# storage, 40 several, with trailing blocks that cross into the next one.
+SIZES = (9, 40)
 
 
 def random_case(rng, num_vertices, scale=1.0, value_diagonal=None):
@@ -118,79 +105,57 @@ def test_blockwise_matrix_matches_dense_product():
 
 def factored_matrix(system, values, monkeypatch):
     """What the system's factorization is handed for the block entries
-    `values`: the band array as it stands before the first panel is factored,
-    spread out into a dense lower triangle, or a copy of the matrix that
-    SuperLU receives."""
+    `values`: the envelope storage as it stands before the first panel is
+    factored, spread out into a dense lower triangle."""
     handed = []
     with monkeypatch.context() as patch:
-        if side_of(system) == "band":
-            columns = system._factorize._columns
+        def dpotrf(*args, genuine=linsolve._dpotrf):
+            if not handed:
+                handed.append(stored_lower(system._factorize).toarray())
+            return genuine(*args)
 
-            def dpotrf(*args, genuine=linsolve._dpotrf):
-                if not handed:
-                    N, width = columns.shape
-                    lower = np.zeros((N, N))
-                    for offset in range(width):
-                        lower[np.arange(offset, N), np.arange(N - offset)] = \
-                            columns[:N - offset, offset]
-                    handed.append(lower)
-                return genuine(*args)
-
-            patch.setattr(linsolve, "_dpotrf", dpotrf)
-        else:
-            def factor(M, *args, genuine=linsolve._factor, **kwargs):
-                handed.append(M.copy())
-                return genuine(M, *args, **kwargs)
-
-            patch.setattr(linsolve, "_factor", factor)
+        patch.setattr(linsolve, "_dpotrf", dpotrf)
         system._factorize(values)
     return handed[0]
 
 
 def test_gathered_matrix_equals_scattered_blocks(monkeypatch):
-    # each side hands its factorization exactly the bits of a scatter of
-    # the blocks, with and without a diagonal on the value dofs: the band
-    # the lower triangle, zero outside the pattern and in the rows past kd,
-    # SuperLU the whole matrix on the pattern of the blocks
+    # the factorization is handed exactly the bits of a scatter of the
+    # blocks, with and without a diagonal on the value dofs: the lower
+    # triangle, zero outside the pattern and in the stored rows past it
     rng = np.random.default_rng(151)
-    for side in on_each_side(monkeypatch):
-        for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
-            system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
-            assert side_of(system) == side
+    for num_vertices in SIZES:
+        for value_diagonal in (None, np.abs(rng.standard_normal((num_vertices, 3)))):
+            system, _, Q, _ = random_case(rng, num_vertices, value_diagonal=value_diagonal)
             values = system.assemble(Q)
             R = reduced_matrix(system, values)
             handed = factored_matrix(system, values, monkeypatch)
-            if side == "band":
-                assert np.array_equal(handed, np.tril(R.toarray()))
-            else:
-                assert np.array_equal(handed.indptr, R.indptr)
-                assert np.array_equal(handed.indices, R.indices)
-                assert np.array_equal(handed.data, R.data)
+            assert np.array_equal(handed, np.tril(R.toarray()))
 
 
-def test_product_from_blocks(monkeypatch):
+def test_product_from_blocks():
     # R x from the blocks equals the product with the matrix they make up,
-    # with and without a value diagonal, on both sides
+    # with and without a value diagonal
     rng = np.random.default_rng(163)
-    for side in on_each_side(monkeypatch):
-        for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
-            system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
-            assert side_of(system) == side
-            R = reduced_matrix(system, system.assemble(Q))
-            x = rng.standard_normal(R.shape[0])
-            scale = abs(R).sum(axis=1).max() * np.abs(x).max()
-            assert np.abs(system._product(x) - R @ x).max() <= 1e-14 * scale
+    for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
+        system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
+        R = reduced_matrix(system, system.assemble(Q))
+        x = rng.standard_normal(R.shape[0])
+        scale = abs(R).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(system._product(x) - R @ x).max() <= 1e-14 * scale
 
 
 def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
     # every call of the band factorization and its solves sees one BLAS
-    # thread, and the caller's thread count is back after the solve; SuperLU
-    # calls none of them
+    # thread, and the caller's thread count is back after the solve; on
+    # several segments the crossing trailing blocks and the carries between
+    # segments run as well
     get_threads = ctypes.CDLL(cython_lapack.__file__).scipy_openblas_get_num_threads
     get_threads.argtypes = []
     get_threads.restype = ctypes.c_int
     seen = []
-    for name in ("_dpotrf", "_dtrsm", "_dsyrk", "_dpbtrs"):
+    routines = ("_dpotrf", "_dtrsm", "_dsyrk", "_dgemm", "_dtbsv", "_dgemv")
+    for name in routines:
         def recording(*args, routine=getattr(linsolve, name), name=name):
             seen.append((name, get_threads()))
             return routine(*args)
@@ -198,21 +163,18 @@ def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
         monkeypatch.setattr(linsolve, name, recording)
     previous = linsolve._set_blas_threads(2)
     try:
-        for side in on_each_side(monkeypatch):
+        for num_vertices, called in zip(SIZES, ({"_dpotrf", "_dtrsm", "_dsyrk", "_dtbsv"},
+                                                set(routines))):
             seen.clear()
             rng = np.random.default_rng(167)
-            system, A, Q, _ = random_case(rng, 9)
-            assert side_of(system) == side
+            system, A, Q, _ = random_case(rng, num_vertices)
             before = get_threads()
             system.solve(Q, rng.standard_normal(A.shape[0]))
-            assert get_threads() == before == 2, side
-            if side == "band":
-                names = [name for name, _ in seen]
-                assert set(names) == {"_dpotrf", "_dtrsm", "_dsyrk", "_dpbtrs"}
-                assert names[0] == "_dpotrf" and names[-1] == "_dpbtrs"
-                assert all(threads == 1 for _, threads in seen)
-            else:
-                assert not seen
+            assert get_threads() == before == 2
+            names = [name for name, _ in seen]
+            assert set(names) == called, num_vertices
+            assert names[0] == "_dpotrf" and names[-1] == "_dtbsv"
+            assert all(threads == 1 for _, threads in seen)
     finally:
         linsolve._set_blas_threads(previous)
 
@@ -270,14 +232,13 @@ def test_singular_direction_removed_by_constraint():
     assert np.allclose(lam0, rhs[d2_dofs])
 
 
-def test_residual_contract(monkeypatch):
+def test_residual_contract():
     # normwise backward error of the reduced system, invariant to its scale,
-    # on both sides
-    for side in on_each_side(monkeypatch):
+    # on one segment of envelope storage and on several
+    for num_vertices in SIZES:
         for scale in (1.0, 1e-12, 1e12):
             rng = np.random.default_rng(89)
-            system, A, Q, _ = random_case(rng, 9, scale=scale)
-            assert side_of(system) == side
+            system, A, Q, _ = random_case(rng, num_vertices, scale=scale)
             rhs = rng.standard_normal(A.shape[0])
             d = system.solve(Q, rhs)
             Z = dense_basis(Q)
@@ -286,95 +247,86 @@ def test_residual_contract(monkeypatch):
             b = Z.T @ rhs
             err = np.abs(R @ u - b).max() / (
                 np.abs(R).sum(axis=1).max() * np.abs(u).max() + np.abs(b).max())
-            assert err <= linsolve.BACKWARD_ERROR_TOL, side
+            assert err <= linsolve.BACKWARD_ERROR_TOL, num_vertices
 
 
-def test_norm_from_blocks(monkeypatch):
+def test_norm_from_blocks():
     # ||R||_inf from the row and column sums of the blocks equals the largest
     # absolute row sum of the gathered matrix, with and without a value
-    # diagonal, on both sides
+    # diagonal
     rng = np.random.default_rng(157)
-    for side in on_each_side(monkeypatch):
-        for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
-            system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
-            assert side_of(system) == side
-            values = system.assemble(Q)
-            expected = abs(reduced_matrix(system, values)).sum(axis=1).max()
-            assert abs(system._inf_norm(values) - expected) <= 1e-14 * expected
+    for value_diagonal in (None, np.abs(rng.standard_normal((9, 3)))):
+        system, _, Q, _ = random_case(rng, 9, value_diagonal=value_diagonal)
+        values = system.assemble(Q)
+        expected = abs(reduced_matrix(system, values)).sum(axis=1).max()
+        assert abs(system._inf_norm(values) - expected) <= 1e-14 * expected
 
 
-def test_corrupted_factorization_rejected(monkeypatch):
+def test_corrupted_factorization_rejected():
     # a factorization of a perturbed matrix misses the contract even after
-    # the refinement step, and the solve must refuse its answer, whichever
-    # factorization runs
-    for side in on_each_side(monkeypatch):
-        rng = np.random.default_rng(113)
-        system, A, Q, _ = random_case(rng, 7)
-        assert side_of(system) == side
-        rhs = rng.standard_normal(A.shape[0])
-        genuine = system._factorize
+    # the refinement step, and the solve must refuse its answer
+    rng = np.random.default_rng(113)
+    system, A, Q, _ = random_case(rng, 7)
+    rhs = rng.standard_normal(A.shape[0])
+    genuine = system._factorize
 
-        def corrupted(values, genuine=genuine):
-            # the diagonal entries of the diagonal blocks
-            perturbed = values.copy()
-            diagonal = np.ix_(system._rows == system._cols,
-                              linsolve._BLOCK_ROWS == linsolve._BLOCK_COLS)
-            perturbed[diagonal] += 1e-3 * np.abs(values).max()
-            return genuine(perturbed)
+    def corrupted(values):
+        # the diagonal entries of the diagonal blocks
+        perturbed = values.copy()
+        diagonal = np.ix_(system._rows == system._cols,
+                          linsolve._BLOCK_ROWS == linsolve._BLOCK_COLS)
+        perturbed[diagonal] += 1e-3 * np.abs(values).max()
+        return genuine(perturbed)
 
-        system._factorize = corrupted
-        with pytest.raises(SaddleSolveError):
-            system.solve(Q, rhs)
+    system._factorize = corrupted
+    with pytest.raises(SaddleSolveError):
+        system.solve(Q, rhs)
 
 
-def test_basis_invariance(monkeypatch):
+def test_basis_invariance():
     # re-signed or rotated kernel directions span the same space: same d
-    for side in on_each_side(monkeypatch):
-        rng = np.random.default_rng(97)
-        system, A, Q, _ = random_case(rng, 5)
-        assert side_of(system) == side
-        rhs = rng.standard_normal(A.shape[0])
-        d1 = system.solve(Q, rhs)
-        rotations = []
-        for _ in range(len(Q)):
-            O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            rotations.append(O * rng.choice([-1.0, 1.0], size=3))
-        d2 = system.solve(Q @ np.array(rotations)[:, None], rhs)
-        assert np.abs(d1 - d2).max() < 1e-10 * np.abs(d1).max(), side
+    rng = np.random.default_rng(97)
+    system, A, Q, _ = random_case(rng, 5)
+    rhs = rng.standard_normal(A.shape[0])
+    d1 = system.solve(Q, rhs)
+    rotations = []
+    for _ in range(len(Q)):
+        O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotations.append(O * rng.choice([-1.0, 1.0], size=3))
+    d2 = system.solve(Q @ np.array(rotations)[:, None], rhs)
+    assert np.abs(d1 - d2).max() < 1e-10 * np.abs(d1).max()
 
 
-def test_deterministic_resolve(monkeypatch):
-    for side in on_each_side(monkeypatch):
+def test_deterministic_resolve():
+    # on one segment of envelope storage and on several
+    for num_vertices in (6, SIZES[-1]):
         rng = np.random.default_rng(101)
-        triangles = strip_triangles(rng, 6)
+        triangles = strip_triangles(rng, num_vertices)
         E = random_element_matrices(rng, len(triangles))
-        Q = tangent_basis(rng.standard_normal((5, 3, 2)))[0]
-        rhs = rng.standard_normal(45)
-        first = TangentSystem(triangles, E, np.arange(1, 6))
-        second = TangentSystem(triangles.copy(), E.copy(), np.arange(1, 6))
-        assert side_of(first) == side_of(second) == side
+        free = np.arange(1, num_vertices)
+        Q = tangent_basis(rng.standard_normal((len(free), 3, 2)))[0]
+        rhs = rng.standard_normal(9 * len(free))
+        first = TangentSystem(triangles, E, free)
+        second = TangentSystem(triangles.copy(), E.copy(), free.copy())
         d1 = first.solve(Q, rhs)
-        assert np.array_equal(d1, first.solve(Q.copy(), rhs.copy())), side
-        assert np.array_equal(d1, second.solve(Q.copy(), rhs.copy())), side
+        assert np.array_equal(d1, first.solve(Q.copy(), rhs.copy())), num_vertices
+        assert np.array_equal(d1, second.solve(Q.copy(), rhs.copy())), num_vertices
 
 
-def test_singular_system_raises(monkeypatch):
-    # the band side names the column where the factorization broke down, a
-    # column of the matrix, counted from 1 across its panels
-    for side in on_each_side(monkeypatch):
-        rng = np.random.default_rng(103)
-        triangles = strip_triangles(rng, 4)
-        system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
-        assert side_of(system) == side
-        with pytest.raises(SaddleSolveError) as failure:
-            system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
-        if side == "band":
-            column, N = map(int, re.search(r"column (\d+) of (\d+)", str(failure.value)).groups())
-            assert N == 24 and 1 <= column <= N
+def test_singular_system_raises():
+    # the factorization names the column where it broke down, a column of
+    # the matrix, counted from 1 across its panels
+    rng = np.random.default_rng(103)
+    triangles = strip_triangles(rng, 4)
+    system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
+    with pytest.raises(SaddleSolveError) as failure:
+        system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
+    column, N = map(int, re.search(r"column (\d+) of (\d+)", str(failure.value)).groups())
+    assert N == 24 and 1 <= column <= N
     # a negative first diagonal entry in the last vertex's block: the band of
     # 8 vertices breaks down at column 43 of 48, in its second panel
     system, _, Q, _ = random_case(np.random.default_rng(109), 9)
-    assert side_of(system) == "band" and len(system._factorize.plan) == 2
+    assert len(system._factorize.plan) == 2
     values = system.assemble(Q).copy()
     values[system._num_diagonal - 1, 0] = -1e3 * np.abs(values).max()
     with pytest.raises(SaddleSolveError, match="column 43 of 48"):
