@@ -9,7 +9,7 @@ convex-concave penalty.
 
 from .constraints import (apply_dirichlet, identity_boundary_data, isometry_defect,
                           tangent_basis)
-from .dkt import (DeformationField, DktDofMap, flat_embedding, interpolate_dkt)
+from .dkt import DeformationField, flat_embedding, interpolate_dkt
 from .energy import (SimulationParams, assemble_bending_stiffness, curvature_terms,
                      penalty_terms, total_energy)
 from .flow import GradientFlow, RunReport, run_flow, step_size_safeguard
@@ -22,7 +22,7 @@ from .presets import PRESETS, RunConfig, resolve
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeformationField", "DktDofMap", "GradientFlow", "PRESETS", "RunConfig",
+    "DeformationField", "GradientFlow", "PRESETS", "RunConfig",
     "RunReport", "SimulationParams", "TangentSystem", "TriangleMesh",
     "apply_dirichlet", "assemble_bending_stiffness", "build_edge_data",
     "curvature_terms", "flat_embedding", "generate_oshape_mesh",

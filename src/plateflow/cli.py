@@ -18,7 +18,7 @@ import sys
 
 from . import io as pio
 from .flow import GradientFlow
-from .io import HistoryCsvWriter, ensure_dir
+from .io import HistoryCsvWriter
 from .mesh import save_mesh
 from .presets import CONFIG_KEYS, ConfigError, RunConfig, resolve
 
@@ -81,8 +81,6 @@ def parse_config(argv=None, parser=None) -> RunConfig:
             else:
                 merged[key] = raw
     for key in CONFIG_KEYS:
-        if key == "config":
-            continue
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -95,7 +93,8 @@ def parse_config(argv=None, parser=None) -> RunConfig:
 
 def run_experiment(config: RunConfig, quiet: bool = False) -> int:
     run = resolve(config)
-    out = ensure_dir(config.out)
+    out = config.out
+    os.makedirs(out, exist_ok=True)
     save_mesh(run.mesh, os.path.join(out, "mesh.txt"))
 
     flow = GradientFlow(run.mesh, run.params)

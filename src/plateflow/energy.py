@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constraints import cross
-from .dkt import (DeformationField, DktDofMap, ElementOperators, element_operators,
-                  local_scalar_dofs, vertex_lumped_masses)
+from .dkt import (DeformationField, ElementOperators, element_operators, local_scalar_dofs,
+                  vertex_lumped_masses)
 from .linsolve import vertex_pair_blocks
 from .mesh import TriangleMesh
 
@@ -70,16 +70,7 @@ class SimulationParams:
         return self.mode == "penalized_flow"
 
 
-def force_vertex_values(mesh: TriangleMesh, f: ForceLike) -> np.ndarray:
-    """Body force evaluated at the vertices, shape (V, 3)."""
-    if f is None:
-        return np.zeros((mesh.num_vertices, 3))
-    if callable(f):
-        return np.asarray(f(mesh.vertices), dtype=np.float64).reshape(-1, 3)
-    return np.broadcast_to(np.asarray(f, dtype=np.float64), (mesh.num_vertices, 3)).copy()
-
-
-def assemble_bending_stiffness(mesh: TriangleMesh, dofmap: DktDofMap | None = None,
+def assemble_bending_stiffness(mesh: TriangleMesh,
                                ops: ElementOperators | None = None) -> sp.csr_matrix:
     """Global symmetric matrix K with 1/2 y^T K y = 1/2 ||grad theta(y)||^2.
 
@@ -90,9 +81,7 @@ def assemble_bending_stiffness(mesh: TriangleMesh, dofmap: DktDofMap | None = No
     """
     if ops is None:
         ops = element_operators(mesh)
-    if dofmap is None:
-        dofmap = DktDofMap.from_mesh(mesh)
-    V = dofmap.num_vertices
+    V = mesh.num_vertices
     # the pairs (i, j) sorted by column j, then row i, are the pairs (j, i)
     # sorted by row, then column, whose block is S_ij^T
     cols, rows, blocks = vertex_pair_blocks(mesh.triangles, ops.bending, np.arange(V))
@@ -111,7 +100,7 @@ def assemble_bending_stiffness(mesh: TriangleMesh, dofmap: DktDofMap | None = No
     data = np.empty(27 * num_pairs)
     data[positions] = np.tile(blocks.transpose(0, 2, 1), (1, 3, 1))
     return sp.csr_matrix((data, indices, indptr.astype(np.int32)),
-                         shape=(dofmap.num_dofs, dofmap.num_dofs))
+                         shape=(9 * V, 9 * V))
 
 
 def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
@@ -151,11 +140,12 @@ def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
 
 
 def force_rhs(mesh: TriangleMesh, f: ForceLike) -> np.ndarray:
-    """Vertex-lumped load vector: entry (z, c, value) = f_c(z) * m_z."""
-    fv = force_vertex_values(mesh, f)
-    m = vertex_lumped_masses(mesh)
+    """Vertex-lumped load vector: entry (z, c, value) = f_c(z) * m_z, for f
+    None, a constant 3-vector, or a callable of the vertices returning (V, 3)."""
     r = np.zeros((mesh.num_vertices, 3, 3))
-    r[:, :, 0] = m[:, None] * fv
+    if f is not None:
+        fv = np.asarray(f(mesh.vertices) if callable(f) else f, dtype=np.float64)
+        r[:, :, 0] = vertex_lumped_masses(mesh)[:, None] * fv.reshape(-1, 3)
     return r.reshape(-1)
 
 

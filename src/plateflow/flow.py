@@ -37,7 +37,7 @@ import numpy as np
 
 from . import energy as en
 from .constraints import ConstraintDegeneracyError, isometry_defect, tangent_basis
-from .dkt import DeformationField, DktDofMap, element_operators, flat_embedding
+from .dkt import DeformationField, element_operators, flat_embedding
 from .energy import SimulationParams
 from .linsolve import SaddleSolveError, TangentSystem
 from .mesh import TriangleMesh
@@ -124,9 +124,8 @@ class GradientFlow:
     def __init__(self, mesh: TriangleMesh, params: SimulationParams):
         self.mesh = mesh
         self.params = step_size_safeguard(params, mesh)
-        self.dofmap = DktDofMap.from_mesh(mesh)
         self.ops = element_operators(mesh)
-        self.K = en.assemble_bending_stiffness(mesh, self.dofmap, self.ops)
+        self.K = en.assemble_bending_stiffness(mesh, self.ops)
         # the step matrix (1 + tau) K_ff (+ tau/eps M3) in the tangent space
         value_diagonal = None
         if params.penalized:
@@ -134,7 +133,7 @@ class GradientFlow:
             value_diagonal = np.zeros((mesh.num_vertices, 3))
             value_diagonal[:, 2] = (params.tau / params.eps_penalty) * self._masses
         self.system = TangentSystem(mesh.triangles, (1.0 + params.tau) * self.ops.bending,
-                                    self.dofmap.free_vertices, value_diagonal)
+                                    mesh.free_vertices, value_diagonal)
         # free vertices in elimination order; their nine dofs each, in turn
         self.free_vertices = self.system.vertices
         self.free = (9 * self.free_vertices[:, None] + np.arange(9)).reshape(-1)
@@ -168,7 +167,7 @@ class GradientFlow:
 
     def initial_state(self, y0: DeformationField | None = None) -> FlowState:
         y = y0 if y0 is not None else flat_embedding(self.mesh)
-        if y.dofs.size != self.dofmap.num_dofs:
+        if y.dofs.size != 9 * self.mesh.num_vertices:
             raise ValueError("initial field does not match the mesh")
         Ky = self.K @ y.dofs
         e, pen, dpen, rhs = self._evaluate(y, Ky)
@@ -193,7 +192,7 @@ class GradientFlow:
         rhs = state.explicit_rhs + self.force_rhs - state.Ky
         d_f = self.system.solve(Q, rhs[self.free])
 
-        d = np.zeros(self.dofmap.num_dofs)
+        d = np.zeros(y.dofs.size)
         d[self.free] = d_f
         scale = max(float(np.abs(d_f).max(initial=0.0)), 1e-300)
         # the linearized constraint C_z grad(d) at each free vertex

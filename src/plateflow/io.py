@@ -1,12 +1,13 @@
 """Run artifacts: history CSV, legacy-VTK surfaces, reports, checkpoints.
 
 Every writer is plain text so runs stay diffable and inspectable without
-tooling.  Values carry at least nine significant digits.
+tooling.  Values carry at least nine significant digits.  The history is
+written row by row while the flow runs (`HistoryCsvWriter`); the surfaces,
+the report, the checkpoint and the rear-edge trace are written once.  Field
+checkpoints are the only files read back, by `--resume`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .flow import HistoryRecord, RunReport
 from .mesh import TriangleMesh
 
 HISTORY_HEADER = "iter,energy,penalty_energy,delta_iso,delta_pen,update_norm"
+FLUSH_EVERY = 100   # history rows between flushes
 
 
 def _fmt(x: float) -> str:
@@ -23,12 +25,10 @@ def _fmt(x: float) -> str:
 
 
 class HistoryCsvWriter:
-    """Appends history records and flushes every `flush_every` rows, so long
+    """Appends history records and flushes every FLUSH_EVERY rows, so long
     runs can be inspected while still iterating."""
 
-    def __init__(self, path, flush_every: int = 100):
-        self.path = path
-        self.flush_every = flush_every
+    def __init__(self, path):
         self._file = open(path, "w")
         self._file.write(HISTORY_HEADER + "\n")
         self._file.flush()
@@ -39,7 +39,7 @@ class HistoryCsvWriter:
             str(rec.k), _fmt(rec.energy), _fmt(rec.penalty_energy),
             _fmt(rec.delta_iso), _fmt(rec.delta_pen), _fmt(rec.update_norm)]) + "\n")
         self._since_flush += 1
-        if self._since_flush >= self.flush_every:
+        if self._since_flush >= FLUSH_EVERY:
             self._file.flush()
             self._since_flush = 0
 
@@ -52,22 +52,6 @@ class HistoryCsvWriter:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def write_history_csv(history, path) -> None:
-    """One-shot dump of a finished run's history."""
-    with HistoryCsvWriter(path, flush_every=1_000_000) as w:
-        for rec in history:
-            w.write(rec)
-
-
-def read_history_csv(path) -> dict:
-    """Columns of a history file as arrays keyed by header name."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    cols = np.array(rows, dtype=np.float64).T if rows else np.empty((len(header), 0))
-    return {name: cols[i] for i, name in enumerate(header)}
 
 
 def write_vtk_surface(field: DeformationField, mesh: TriangleMesh, path,
@@ -128,16 +112,6 @@ def write_report(report: RunReport, path, config_echo: dict | None = None) -> No
             f.write(f"config.{key}: {value}\n")
 
 
-def read_report(path) -> dict:
-    out = {}
-    with open(path) as f:
-        for line in f:
-            if ":" in line:
-                key, value = line.split(":", 1)
-                out[key.strip()] = value.strip()
-    return out
-
-
 def save_field(field: DeformationField, path) -> None:
     """Checkpoint: one vertex per line, 9 dof values at full precision."""
     nod = field.nodal()
@@ -169,8 +143,3 @@ def write_rear_edge_trace(mesh: TriangleMesh, field: DeformationField, path,
         f.write("x_ref,y_1,y_3\n")
         for v in idx:
             f.write(f"{mesh.vertices[v, 0]:.12g},{pos[v, 0]:.12g},{pos[v, 2]:.12g}\n")
-
-
-def ensure_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

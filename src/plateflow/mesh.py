@@ -4,8 +4,13 @@ All meshes are built from axis-aligned squares of side h = 2**-level that are
 halved along a diagonal.  The "nonsymmetric" pattern uses the same diagonal
 everywhere; the "symmetric" pattern alternates diagonals so that each block of
 2x2 cells is cut along the symmetry lines of the enclosing 2h-square.  Vertex
-and edge indexing is lexicographic in (x2, x1), which makes generation fully
-deterministic.
+indexing is lexicographic in (x2, x1) and edge indexing lexicographic in the
+vertex pair (lo, hi), which makes generation fully deterministic.
+
+A mesh carries what the program reads: its edges, which of them lie on the
+boundary and which are clamped, the clamped and free vertices, and the
+extreme triangle diameters.  `check_triangles` is the one rule by which
+degenerate or clockwise triangles are rejected, by meshes and elements alike.
 """
 
 from __future__ import annotations
@@ -26,36 +31,28 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Conforming triangulation with precomputed edge geometry.
+    """Conforming triangulation and its edges.
 
     vertices        (V, 2) coordinates
     triangles       (F, 3) vertex indices, counterclockwise
-    edges           (E, 2) vertex indices with edges[i, 0] < edges[i, 1]
-    edge_midpoints  (E, 2)
-    edge_tangents   (E, 2) unit, from lower to higher vertex index
-    edge_normals    (E, 2) unit, tangent rotated by +90 degrees
-    edge_triangles  (E, 2) adjacent triangle indices, -1 on boundary side
-    tri_edges       (F, 3) edge index opposite local vertex i
+    edges           (E, 2) vertex indices with edges[i, 0] < edges[i, 1],
+                    lexicographically sorted
+    boundary_edges  (E,) bool, edges of a single triangle
     dirichlet_edges (E,) bool, clamped subset of the boundary
+    h_max, h_min    largest and smallest triangle diameter
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray
-    edge_midpoints: np.ndarray
-    edge_tangents: np.ndarray
-    edge_normals: np.ndarray
-    edge_triangles: np.ndarray
-    tri_edges: np.ndarray
     boundary_edges: np.ndarray
     dirichlet_edges: np.ndarray
     h_max: float
     h_min: float
 
     def __post_init__(self):
-        for arr in (self.vertices, self.triangles, self.edges, self.edge_midpoints,
-                    self.edge_tangents, self.edge_normals, self.edge_triangles,
-                    self.tri_edges, self.boundary_edges, self.dirichlet_edges):
+        for arr in (self.vertices, self.triangles, self.edges, self.boundary_edges,
+                    self.dirichlet_edges):
             arr.setflags(write=False)
 
     @property
@@ -71,13 +68,8 @@ class TriangleMesh:
         return self.edges.shape[0]
 
     @property
-    def euler_characteristic(self) -> int:
-        """V - E + F; equals 1 minus the number of holes."""
-        return self.num_vertices - self.num_edges + self.num_triangles
-
-    @property
     def triangle_areas(self) -> np.ndarray:
-        return triangle_areas(self.vertices, self.triangles)
+        return triangle_areas(self.triangle_coords())
 
     @property
     def domain_area(self) -> float:
@@ -90,68 +82,67 @@ class TriangleMesh:
             return np.empty(0, dtype=np.int64)
         return np.unique(self.edges[self.dirichlet_edges])
 
+    @property
+    def free_vertices(self) -> np.ndarray:
+        """Sorted indices of the vertices that no clamped edge touches."""
+        free = np.ones(self.num_vertices, dtype=bool)
+        free[self.dirichlet_vertices] = False
+        return np.flatnonzero(free)
+
     def triangle_coords(self) -> np.ndarray:
         """(F, 3, 2) stacked vertex coordinates per triangle."""
         return self.vertices[self.triangles]
 
 
-def triangle_areas(vertices, triangles) -> np.ndarray:
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
+def triangle_areas(coords) -> np.ndarray:
+    """Signed areas of stacked triangles, coords (F, 3, 2)."""
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def check_triangles(coords):
+    """Signed areas and diameters of stacked triangles, coords (F, 3, 2).
+
+    Rejects a triangle whose signed area is at most 1e-14 times its squared
+    diameter as degenerate or clockwise.  The rule is relative to each
+    triangle's own size, so it is invariant to the scale of the mesh; mesh
+    construction and the element operators both apply it.
+    """
+    areas = triangle_areas(coords)
+    diam = np.maximum(
+        np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1),
+        np.maximum(np.linalg.norm(coords[:, 2] - coords[:, 1], axis=1),
+                   np.linalg.norm(coords[:, 0] - coords[:, 2], axis=1)))
+    bad = np.flatnonzero(areas <= 1e-14 * diam**2)
+    if len(bad):
+        raise MeshError(f"triangle {bad[0]} is degenerate or clockwise "
+                        f"(signed area {areas[bad[0]]:.3e})")
+    return areas, diam
+
+
 def build_edge_data(vertices, triangles, dirichlet_pairs=()) -> TriangleMesh:
-    """Assemble a TriangleMesh (edge geometry, adjacency) from raw cells.
+    """Assemble a TriangleMesh (edges, boundary, clamped edges) from raw cells.
 
     Rejects nonconforming connectivity: every edge must be shared by one or
-    two triangles, every triangle must be counterclockwise and nondegenerate.
+    two triangles, every triangle must be counterclockwise and nondegenerate,
+    and every clamped edge must lie on the boundary.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if triangles.size and triangles.max() >= len(vertices):
         raise MeshError("triangle refers to a vertex that does not exist")
-
-    areas = triangle_areas(vertices, triangles)
-    p = vertices[triangles]
-    diam = np.maximum(
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        np.maximum(np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                   np.linalg.norm(p[:, 0] - p[:, 2], axis=1)))
-    h_max = float(diam.max())
-    h_min = float(diam.min())
-    if (areas <= 1e-14 * h_max**2).any():
-        bad = int(np.argmin(areas))
-        raise MeshError(f"triangle {bad} is degenerate or clockwise (signed area {areas[bad]:.3e})")
+    _, diam = check_triangles(vertices[triangles])
 
     # Canonical edges (lo, hi), indexed lexicographically: by the key lo V + hi.
     raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]])
     raw.sort(axis=1)
-    keys, inverse, counts = np.unique(raw[:, 0] * len(vertices) + raw[:, 1],
-                                      return_inverse=True, return_counts=True)
+    keys, counts = np.unique(raw[:, 0] * len(vertices) + raw[:, 1], return_counts=True)
     edges = np.column_stack([keys // len(vertices), keys % len(vertices)])
     if (counts > 2).any():
         bad = edges[counts > 2][0]
         raise MeshError(f"edge {tuple(bad)} is shared by more than two triangles")
-
-    num_tri = len(triangles)
-    tri_edges = inverse.reshape(3, num_tri).T.copy()
-
-    # the triangles of an edge in the order of their rows in `raw`: by local
-    # edge first, then by triangle index
-    rows = np.argsort(inverse, kind="stable")
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    edge_triangles = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_triangles[inverse[rows], slot] = rows % num_tri
     boundary = counts == 1
-
-    lo = vertices[edges[:, 0]]
-    hi = vertices[edges[:, 1]]
-    mid = 0.5 * (lo + hi)
-    tang = hi - lo
-    tang = tang / np.linalg.norm(tang, axis=1, keepdims=True)
-    norm = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
 
     dirichlet = np.zeros(len(edges), dtype=bool)
     if len(dirichlet_pairs):
@@ -167,10 +158,8 @@ def build_edge_data(vertices, triangles, dirichlet_pairs=()) -> TriangleMesh:
 
     return TriangleMesh(
         vertices=vertices, triangles=triangles, edges=edges,
-        edge_midpoints=mid, edge_tangents=tang, edge_normals=norm,
-        edge_triangles=edge_triangles, tri_edges=tri_edges,
         boundary_edges=boundary, dirichlet_edges=dirichlet,
-        h_max=h_max, h_min=h_min)
+        h_max=float(diam.max()), h_min=float(diam.min()))
 
 
 def _structured_cells(level: int, bounds, pattern: str, hole=None):

@@ -69,6 +69,143 @@ def random_field(mesh, rng, scale=1.0, clamp=False):
 
 
 # ---------------------------------------------------------------------------
+# quadrature, lumped integrals and the element's cubic, for error studies:
+# the program integrates by vertex lumping and never evaluates the cubic
+# inside an element
+
+# 7-point symmetric triangle rule, exact through degree 5 (barycentric, weight)
+TRI_QUAD_DEGREE5 = (
+    np.array([
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.797426985353087, 0.101286507323456, 0.101286507323456],
+        [0.101286507323456, 0.797426985353087, 0.101286507323456],
+        [0.101286507323456, 0.101286507323456, 0.797426985353087],
+        [0.059715871789770, 0.470142064105115, 0.470142064105115],
+        [0.470142064105115, 0.059715871789770, 0.470142064105115],
+        [0.470142064105115, 0.470142064105115, 0.059715871789770],
+    ]),
+    np.array([0.225,
+              0.125939180544827, 0.125939180544827, 0.125939180544827,
+              0.132394152788506, 0.132394152788506, 0.132394152788506]),
+)
+
+
+def lumped_p1_integral(mesh, values):
+    """Vertex-rule integral sum_T (|T|/3) sum_{z in T} v_T(z) of values (F, 3):
+    one value per (triangle, local vertex), so that elementwise-discontinuous
+    integrands are allowed."""
+    values = np.asarray(values, dtype=np.float64).reshape(mesh.num_triangles, 3)
+    return float((mesh.triangle_areas / 3.0) @ values.sum(axis=1))
+
+
+def discrete_lp_norm(mesh, values, p):
+    """Discrete L^p norm of elementwise vertex values; p = inf gives the max."""
+    values = np.abs(np.asarray(values, dtype=np.float64).reshape(mesh.num_triangles, 3))
+    if p == np.inf:
+        return float(values.max()) if values.size else 0.0
+    if p < 1:
+        raise ValueError("discrete L^p norm requires p >= 1")
+    return float(((mesh.triangle_areas / 3.0) @ (values ** p).sum(axis=1)) ** (1.0 / p))
+
+
+P3_POWERS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                      (3, 0), (2, 1), (1, 2), (0, 3)])
+
+
+def monomials(u, dx=0, dy=0):
+    """The ten cubic monomials x^a y^b at the points u (..., 2), differentiated
+    dx times in x and dy times in y; shape (..., 10)."""
+    a, b = P3_POWERS.T
+    coef = np.prod([a - i for i in range(dx)] + [b - i for i in range(dy)], axis=0)
+    return (coef * u[..., 0, None] ** np.maximum(a - dx, 0)
+            * u[..., 1, None] ** np.maximum(b - dy, 0))
+
+
+class CubicEvaluator:
+    """The reduced cubic of each element, from its 9 nodal dofs per
+    component, evaluated at fixed barycentric points.
+
+    The tenth cubic coefficient is fixed by the center-of-gravity constraint
+    p(x_T) = (1/6) sum_z (2 p(z) - grad p(z) . (z - x_T)).  Coefficients are
+    computed in centered coordinates scaled by the element diameter.  The
+    tables of the monomials and their derivatives at the points depend on the
+    mesh only and are built once; a field then costs a gather and matrix
+    products.
+    """
+
+    def __init__(self, mesh, bary):
+        coords = mesh.triangle_coords()
+        centers = coords.mean(axis=1)
+        scale = np.linalg.norm(coords - centers[:, None, :], axis=2).max(axis=1)
+        u = (coords - centers[:, None, :]) / scale[:, None, None]      # (F, 3, 2)
+        phi, d1, d2 = monomials(u), monomials(u, 1, 0), monomials(u, 0, 1)
+        center = monomials(np.zeros(2)) - (
+            2.0 * phi - d1 * u[..., 0, None] - d2 * u[..., 1, None]).sum(axis=1) / 6.0
+        A = np.concatenate([phi, d1, d2, center[:, None]], axis=1)     # (F, 10, 10)
+        # the dofs of a component come as (values, d1, d2) of the three
+        # vertices, the center row has no data; the scaled frame takes the
+        # derivatives times the scale
+        self._inverse = np.linalg.inv(A)[:, :, :9]
+        self._inverse[:, :, 3:] *= scale[:, None, None]
+        self._triangles = mesh.triangles
+
+        pts = np.einsum("pn,fnd->fpd", np.atleast_2d(bary), coords)
+        x = (pts - centers[:, None, :]) / scale[:, None, None]         # (F, p, 2)
+        s = scale[:, None, None, None]
+        self._values = monomials(x)                                     # (F, p, 10)
+        self._gradients = np.stack([monomials(x, 1, 0), monomials(x, 0, 1)], axis=2) / s
+        self._hessians = np.stack([monomials(x, 2, 0), monomials(x, 1, 1),
+                                   monomials(x, 1, 1), monomials(x, 0, 2)], axis=2) / s**2
+
+    def coefficients(self, field):
+        """(F, 10, ncomp) cubic coefficients in the scaled local frame."""
+        nod = field.nodal()[self._triangles]                   # (F, 3v, c, 3kind)
+        return self._inverse @ nod.transpose(0, 3, 1, 2).reshape(len(nod), 9, -1)
+
+    def _at_points(self, table, field):
+        """table (F, p, ..., 10) times the coefficients: (F, p, ncomp, ...)."""
+        coef = self.coefficients(field)
+        out = (table.reshape(len(table), -1, 10) @ coef).reshape(table.shape[:-1] + (-1,))
+        return np.moveaxis(out, -1, 2)
+
+    def values(self, field):
+        """Field values at the points: (F, npts, ncomp)."""
+        return self._at_points(self._values, field)
+
+    def gradients(self, field):
+        """Field gradients at the points: (F, npts, ncomp, 2)."""
+        return self._at_points(self._gradients, field)
+
+    def hessians(self, field):
+        """Field Hessians at the points: (F, npts, ncomp, 2, 2)."""
+        out = self._at_points(self._hessians, field)
+        return out.reshape(out.shape[:3] + (2, 2))
+
+
+# ---------------------------------------------------------------------------
+# readers of the run files
+
+def read_history_csv(path):
+    """Columns of a history file as arrays keyed by header name."""
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in f if line.strip()]
+    cols = np.array(rows, dtype=np.float64).T if rows else np.empty((len(header), 0))
+    return {name: cols[i] for i, name in enumerate(header)}
+
+
+def read_report(path):
+    """The key: value lines of a report.txt as a dict of strings."""
+    out = {}
+    with open(path) as f:
+        for line in f:
+            if ":" in line:
+                key, value = line.split(":", 1)
+                out[key.strip()] = value.strip()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense oracles of the tangent space
 
 GRAD_DOFS = np.array([1, 2, 4, 5, 7, 8])  # (d1 w_1, d2 w_1, d1 w_2, ..., d2 w_3)
@@ -165,7 +302,7 @@ def nonlinear_energy_term(mesh, field, alpha, ops=None):
     loc = dkt.local_scalar_dofs(mesh, field)
     lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)       # (F, 3v, 3c)
     nu = nodal_normals(field)[mesh.triangles]                  # (F, 3v, 3c)
-    return alpha * dkt.lumped_p1_integral(mesh, np.einsum("fpc,fpc->fp", lap, nu))
+    return alpha * lumped_p1_integral(mesh, np.einsum("fpc,fpc->fp", lap, nu))
 
 
 def nonlinear_rhs(mesh, field, alpha, ops=None):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from plateflow import dkt, energy as en, io as pio, mesh as pm
-from plateflow.dkt import (CubicEvaluator, DeformationField, TRI_QUAD_DEGREE5,
-                           interpolate_dkt)
+from plateflow.dkt import DeformationField, interpolate_dkt
 from plateflow.energy import SimulationParams
 from plateflow.flow import run_flow
 
-from conftest import cylinder_map, random_field, random_quadratic
+from conftest import (TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, random_field,
+                      random_quadratic, read_report)
 from test_dkt import reconstruction_hessians
 
 OSHAPE_CLAMP = [((-5.0, -2.0), (-5.0, -1.0)), ((-5.0, -2.0), (-4.0, -2.0))]
@@ -119,11 +119,11 @@ def test_criterion_2_interpolation_rates():
     for level in (1, 2, 3, 4):
         m = pm.generate_rectangle_mesh(level)
         field = interpolate_dkt(m, y, grad)
-        ev = CubicEvaluator(m)
+        ev = CubicEvaluator(m, bary)
         areas = m.triangle_areas
         pts = np.einsum("pn,fnd->fpd", bary, m.triangle_coords()).reshape(-1, 2)
-        v_err = ev.values(field, bary) - y(pts).reshape(len(areas), len(wq), 3)
-        g_err = ev.gradients(field, bary) - grad(pts).reshape(len(areas), len(wq), 3, 2)
+        v_err = ev.values(field) - y(pts).reshape(len(areas), len(wq), 3)
+        g_err = ev.gradients(field) - grad(pts).reshape(len(areas), len(wq), 3, 2)
         err2 = (v_err**2).sum(axis=2) + (g_err**2).sum(axis=(2, 3))
         h1.append(np.sqrt(float(np.einsum("fp,p,f->", err2, wq, areas))))
         hess_err = (reconstruction_hessians(m, field, bary)
@@ -186,7 +186,7 @@ def test_criterion_5_oshape_level1(oshape_l1_runs, tmp_path):
     _check_table_row("5a (O-shape level 1 vs published row)", report, 1)
     # the written report carries the same row
     pio.write_report(report, tmp_path / "report.txt", {"experiment": "oshape"})
-    back = pio.read_report(tmp_path / "report.txt")
+    back = read_report(tmp_path / "report.txt")
     assert abs(int(back["iterations"]) - 1922) <= 0.25 * 1922
     assert back["termination_reason"] == "converged"
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plateflow import constraints as cn
-from plateflow.dkt import DeformationField, DktDofMap, flat_embedding, interpolate_dkt
+from plateflow.dkt import DeformationField, flat_embedding, interpolate_dkt
 
 from conftest import (GRAD_DOFS, constraint_blocks, cylinder_map, dense_basis,
                       random_field)
@@ -10,8 +10,7 @@ from conftest import (GRAD_DOFS, constraint_blocks, cylinder_map, dense_basis,
 
 def test_flat_constraint_rows(rect_l2_clamped):
     m = rect_l2_clamped
-    dm = DktDofMap.from_mesh(m)
-    free = dm.free_vertices
+    free = m.free_vertices
     y = flat_embedding(m)
     Q, sigma = cn.tangent_basis(y.gradients()[free])
     assert Q.shape == (len(free), 3, 2, 3)
@@ -37,8 +36,7 @@ def test_kernel_is_linearized_isometry(rect_l2_clamped):
     # C_z w = 0 iff sym(grad w ^T grad y) vanishes at z; the basis spans
     # exactly that kernel with orthonormal columns per vertex
     m = rect_l2_clamped
-    dm = DktDofMap.from_mesh(m)
-    free = dm.free_vertices
+    free = m.free_vertices
     rng = np.random.default_rng(61)
     y = random_field(m, rng)
     w = random_field(m, rng)
@@ -71,7 +69,7 @@ def test_kernel_is_linearized_isometry(rect_l2_clamped):
 def test_block_singular_values_near_isometry(rect_l2_clamped):
     # with two orthonormal gradient columns the 3x6 blocks keep sigma_min >= 1/2
     m = rect_l2_clamped
-    free = DktDofMap.from_mesh(m).free_vertices
+    free = m.free_vertices
     rng = np.random.default_rng(67)
     for _ in range(10):
         # random nodal rotations: gradients are random orthonormal pairs
@@ -91,7 +89,7 @@ def test_block_singular_values_near_isometry(rect_l2_clamped):
 def test_smallest_singular_values_match_svd(rect_l2_clamped, scale):
     # the closed-form 3x3 eigenvalue agrees with an SVD of the blocks
     m = rect_l2_clamped
-    free = DktDofMap.from_mesh(m).free_vertices
+    free = m.free_vertices
     rng = np.random.default_rng(131)
     for _ in range(5):
         y = random_field(m, rng, scale=scale)
@@ -117,7 +115,7 @@ def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
     # blocks there rotates inside the kernel by O(1) (measured: a change of
     # 1.4 at t = 1e-6), since the kernel's singular values all vanish
     m = rect_l2_clamped
-    free = DktDofMap.from_mesh(m).free_vertices
+    free = m.free_vertices
     rng = np.random.default_rng(139)
     v = random_field(m, rng)
     for y in (flat_embedding(m), random_field(m, rng)):
@@ -152,8 +150,8 @@ def test_apply_dirichlet_identity_data(rect_l2_clamped):
         assert np.allclose(nod[v, :, 0], [m.vertices[v, 0], m.vertices[v, 1], 0.0])
         assert np.allclose(nod[v, :, 1:], [[1, 0], [0, 1], [0, 0]])
     # free dofs untouched
-    free_mask = DktDofMap.from_mesh(m).free_mask
-    assert np.array_equal(fixed.dofs[free_mask], field.dofs[free_mask])
+    free = fixed.nodal()[m.free_vertices]
+    assert np.array_equal(free, field.nodal()[m.free_vertices])
 
 
 def test_apply_dirichlet_idempotent(rect_l2_clamped):

@@ -6,8 +6,7 @@ from plateflow.dkt import flat_embedding, interpolate_dkt
 from plateflow.energy import SimulationParams
 
 from conftest import (EPS, coo_bending_stiffness, cylinder_map, flat_energy_rounding_scale,
-                      nonlinear_energy_term,
-                      nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
+                      lumped_p1_integral, nonlinear_energy_term, nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
                       penalty_rhs, random_field, residual_rounding_scale)
 
 
@@ -149,8 +148,8 @@ def test_nonlinear_rhs_flat_state_hits_third_component(rect_l2):
     ops = dkt.element_operators(rect_l2)
     for _ in range(5):
         w = random_field(rect_l2, rng)
-        lap = dkt.discrete_laplacian_field(rect_l2, w, ops)
-        expect = alpha * dkt.lumped_p1_integral(rect_l2, lap[:, :, 2])
+        lap = np.einsum("fpl,fcl->fpc", ops.divergence, dkt.local_scalar_dofs(rect_l2, w))
+        expect = alpha * lumped_p1_integral(rect_l2, lap[:, :, 2])
         assert np.isclose(r @ w.dofs, expect, atol=1e-10 * max(1, abs(expect)))
 
 
@@ -222,7 +221,7 @@ def test_force_rhs_lumping_identity(rect_l2):
     g = np.zeros((rect_l2.num_vertices, 3, 3))
     g[:, :, 0] = gv
     dots = (fv * gv).sum(axis=1)
-    expect = dkt.lumped_p1_integral(rect_l2, dots[rect_l2.triangles])
+    expect = lumped_p1_integral(rect_l2, dots[rect_l2.triangles])
     assert np.isclose(r @ g.reshape(-1), expect, atol=1e-13 * max(1, abs(expect)))
 
 
@@ -337,7 +336,7 @@ def test_penalty_energy_matches_splitting_identity(rect_l2):
     eps = 0.3
     y3 = field.positions()[:, 2]
     P, _ = penalty_pieces(y3)
-    via_split = dkt.lumped_p1_integral(
+    via_split = lumped_p1_integral(
         rect_l2, (y3**2 + P)[rect_l2.triangles]) / (2 * eps)
     assert np.isclose(penalty_terms(rect_l2, field, eps)[0], via_split, atol=1e-12)
 

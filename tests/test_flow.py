@@ -10,7 +10,7 @@ from scipy.linalg import cholesky_banded
 
 from plateflow import linsolve, mesh as pm
 from plateflow.constraints import identity_boundary_data, tangent_basis
-from plateflow.dkt import DktDofMap, flat_embedding, vertex_lumped_masses
+from plateflow.dkt import flat_embedding, vertex_lumped_masses
 from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_safeguard
 from plateflow.presets import RunConfig, resolve
@@ -44,7 +44,7 @@ def test_flat_stationary_with_zero_data(rect_l2_clamped, rect_l2_symmetric_clamp
 def test_steps_decrease_energy_and_respect_constraints(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=60)
     flow = GradientFlow(oshape_l1_clamped, params)
-    free = flow.dofmap.free_vertices
+    free = oshape_l1_clamped.free_vertices
     state = flow.initial_state()
     energies = [state.energy]
     for _ in range(60):
@@ -181,8 +181,9 @@ def test_flow_orders_tangent_system(level):
     # vertices, and the stored columns hold every entry of R's lower triangle
     run = resolve(RunConfig(experiment="oshape", level=level))
     flow = GradientFlow(run.mesh, run.params)
-    assert np.array_equal(np.sort(flow.free_vertices), flow.dofmap.free_vertices)
-    assert np.array_equal(np.sort(flow.free), flow.dofmap.free_indices)
+    free = run.mesh.free_vertices
+    assert np.array_equal(np.sort(flow.free_vertices), free)
+    assert np.array_equal(np.sort(flow.free), (9 * free[:, None] + np.arange(9)).reshape(-1))
     factorization = flow.system._factorize
     assert isinstance(factorization, linsolve._BandCholesky)
     Q = tangent_basis(run.initial.gradients()[flow.free_vertices])[0]
@@ -238,7 +239,7 @@ def test_factorization_chosen_from_the_pattern(experiment):
         assert isinstance(flow.system._factorize, linsolve._BandCholesky), level
         again = linsolve.TangentSystem(mesh.triangles.copy(),
                                        (1.0 + run.params.tau) * flow.ops.bending.copy(),
-                                       flow.dofmap.free_vertices.copy())
+                                       mesh.free_vertices.copy())
         assert isinstance(again._factorize, linsolve._BandCholesky)
         assert np.array_equal(again.vertices, flow.free_vertices)
 
@@ -250,7 +251,7 @@ def test_envelope_storage_is_smaller_than_the_band(level):
     # whose every column is as deep as the deepest segment, and every
     # trailing block of a panel lies in its own segment and the next
     mesh = resolve(RunConfig(experiment="oshape", level=level)).mesh
-    free = DktDofMap.from_mesh(mesh).free_vertices
+    free = mesh.free_vertices
     system = linsolve.TangentSystem(mesh.triangles, np.zeros((len(mesh.triangles), 9, 9)), free)
     factorization = system._factorize
     segments = factorization.segments

@@ -10,7 +10,7 @@ from plateflow.energy import SimulationParams
 from plateflow.flow import run_flow
 from plateflow.presets import PRESETS, ConfigError, RunConfig, resolve
 
-from conftest import cylinder_map, random_field
+from conftest import cylinder_map, random_field, read_history_csv, read_report
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +32,13 @@ def oshape_l1_module():
 def test_history_csv_line_count_and_roundtrip(tiny_run, tmp_path):
     _, state = tiny_run
     path = tmp_path / "history.csv"
-    pio.write_history_csv(state.history, path)
+    with pio.HistoryCsvWriter(path) as w:
+        for rec in state.history:
+            w.write(rec)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 3
     assert lines[0] == "iter,energy,penalty_energy,delta_iso,delta_pen,update_norm"
-    back = pio.read_history_csv(path)
+    back = read_history_csv(path)
     for i, rec in enumerate(state.history):
         assert abs(back["energy"][i] - rec.energy) <= 1e-9 * max(1, abs(rec.energy))
         assert abs(back["update_norm"][i] - rec.update_norm) <= 1e-9 * rec.update_norm
@@ -46,7 +48,7 @@ def test_history_csv_line_count_and_roundtrip(tiny_run, tmp_path):
 def test_history_writer_incremental(tmp_path, oshape_l1_module):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=5)
     path = tmp_path / "h.csv"
-    with pio.HistoryCsvWriter(path, flush_every=2) as w:
+    with pio.HistoryCsvWriter(path) as w:
         run_flow(oshape_l1_module, params, on_step=lambda s: w.write(s.history[-1]))
     assert len(path.read_text().strip().splitlines()) == 6
 
@@ -95,7 +97,7 @@ def test_report_roundtrip(tiny_run, tmp_path):
     report, _ = tiny_run
     path = tmp_path / "report.txt"
     pio.write_report(report, path, {"experiment": "oshape", "level": 1})
-    back = pio.read_report(path)
+    back = read_report(path)
     assert back["termination_reason"] == "max_iters"
     assert back["termination_detail"] == ""
     assert int(back["iterations"]) == 3
@@ -244,8 +246,8 @@ def test_cli_end_to_end_and_determinism(tmp_path):
         assert (tmp_path / "a" / name).exists(), name
     assert (tmp_path / "a" / "surface_0000005.vtk").exists()
     # identical config => identical outputs (report equal except wall time)
-    ra = pio.read_report(tmp_path / "a" / "report.txt")
-    rb = pio.read_report(tmp_path / "b" / "report.txt")
+    ra = read_report(tmp_path / "a" / "report.txt")
+    rb = read_report(tmp_path / "b" / "report.txt")
     ra.pop("wall_time_s"), rb.pop("wall_time_s")
     assert ra == rb
     assert ((tmp_path / "a" / "history.csv").read_bytes()
@@ -260,7 +262,7 @@ def test_cli_resume_roundtrip(tmp_path):
     assert main(["--experiment", "oshape", "--level", "1", "--max-iters", "2",
                  "--out", out2, "--vtk-every", "0",
                  "--resume", os.path.join(out1, "checkpoint.field")]) == 0
-    r2 = pio.read_report(os.path.join(out2, "report.txt"))
+    r2 = read_report(os.path.join(out2, "report.txt"))
     assert r2["config.resume"] != "none"
     # resumed run starts from the checkpoint, not the flat state
     assert float(r2["initial_energy"]) < -1.0
@@ -277,7 +279,7 @@ def test_cli_reports_failure_detail(tmp_path, capsys, monkeypatch):
     out = tmp_path / "failed"
     assert main(["--experiment", "oshape", "--level", "1", "--max-iters", "3",
                  "--out", str(out), "--vtk-every", "0"]) == 1
-    report = pio.read_report(out / "report.txt")
+    report = read_report(out / "report.txt")
     assert report["termination_reason"] == "solver_failure"
     assert report["termination_detail"] == "synthetic failure"
     assert "synthetic failure" in capsys.readouterr().out

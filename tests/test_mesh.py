@@ -7,14 +7,15 @@ from plateflow import mesh as pm
 def assert_mesh_sound(m, holes):
     areas = m.triangle_areas
     assert (areas > 1e-14 * m.h_max**2).all()
-    # conformity: every edge belongs to one or two triangles
-    interior = m.edge_triangles[:, 1] >= 0
-    assert (interior == ~m.boundary_edges).all()
-    # unit tangents/normals, orthogonal
-    assert np.allclose(np.linalg.norm(m.edge_tangents, axis=1), 1.0)
-    assert np.allclose(np.linalg.norm(m.edge_normals, axis=1), 1.0)
-    assert np.allclose((m.edge_tangents * m.edge_normals).sum(axis=1), 0.0)
-    assert m.euler_characteristic == 1 - holes
+    # conformity: every edge belongs to one or two triangles, boundary edges
+    # to one
+    t = m.triangles
+    raw = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    edges, counts = np.unique(raw, axis=0, return_counts=True)
+    assert np.array_equal(m.edges, edges) and (counts <= 2).all()
+    assert np.array_equal(m.boundary_edges, counts == 1)
+    # Euler characteristic V - E + F: 1 minus the number of holes
+    assert m.num_vertices - m.num_edges + m.num_triangles == 1 - holes
     assert 0 < m.h_min <= m.h_max
 
 
@@ -100,19 +101,18 @@ def loop_structured_cells(level, bounds, pattern, hole=None):
 
 
 def loop_edge_data(triangles):
-    """Plain-loop reference of `edges`, `tri_edges` and `edge_triangles`: edges
-    as the lexicographically sorted rows (lo, hi), and the triangles of each
-    edge in the order of their local edge, then of their index."""
-    raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]])
-    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
-    tri_edges = inverse.reshape(3, len(triangles)).T
-    edge_triangles = np.full((len(edges), 2), -1, dtype=np.int64)
-    fill = np.zeros(len(edges), dtype=np.int64)
-    for local in range(3):
-        for t, e in enumerate(tri_edges[:, local]):
-            edge_triangles[e, fill[e]] = t
-            fill[e] += 1
-    return edges, tri_edges, edge_triangles
+    """Plain-loop reference of `edges` and `boundary_edges`: edges as the
+    lexicographically sorted rows (lo, hi), each in one or two triangles, and
+    the boundary as the edges of one triangle."""
+    count = {}
+    for tri in triangles:
+        for i in range(3):
+            edge = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
+            count[edge] = count.get(edge, 0) + 1
+    assert set(count.values()) <= {1, 2}
+    edges = sorted(count)
+    return (np.array(edges, dtype=np.int64).reshape(-1, 2),
+            np.array([count[e] == 1 for e in edges]))
 
 
 @pytest.mark.parametrize("pattern", ["nonsymmetric", "symmetric"])
@@ -125,7 +125,7 @@ def test_generation_matches_loop_reference(level, hole, pattern):
     assert v.tobytes() == v_ref.tobytes()   # bit-identical coordinates
     assert np.array_equal(t, t_ref)
     m = pm.build_edge_data(v, t)
-    for got, want in zip((m.edges, m.tri_edges, m.edge_triangles), loop_edge_data(t)):
+    for got, want in zip((m.edges, m.boundary_edges), loop_edge_data(t)):
         assert np.array_equal(got, want)
 
 
@@ -135,25 +135,12 @@ def test_counterclockwise_orientation():
 
 
 def test_edge_conventions():
-    # t points from the lower to the higher vertex index, n is t rotated +90
+    # an edge runs from the lower to the higher vertex index, and the edges
+    # are sorted lexicographically, each once
     m = pm.generate_rectangle_mesh(0)
-    lo = m.vertices[m.edges[:, 0]]
-    hi = m.vertices[m.edges[:, 1]]
-    d = hi - lo
-    lengths = np.linalg.norm(d, axis=1)
-    assert np.allclose(m.edge_tangents, d / lengths[:, None])
-    rot = np.stack([-m.edge_tangents[:, 1], m.edge_tangents[:, 0]], axis=1)
-    assert np.allclose(m.edge_normals, rot)
-    assert np.allclose(m.edge_midpoints, 0.5 * (lo + hi))
-
-
-def test_horizontal_unit_edge_geometry():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    m = pm.build_edge_data(verts, np.array([[0, 1, 2]]))
-    e = next(i for i in range(m.num_edges) if tuple(m.edges[i]) == (0, 1))
-    assert np.allclose(m.edge_tangents[e], [1.0, 0.0])
-    assert np.allclose(m.edge_normals[e], [0.0, 1.0])
-    assert np.allclose(m.edge_midpoints[e], [0.5, 0.0])
+    assert (m.edges[:, 0] < m.edges[:, 1]).all()
+    keys = m.edges[:, 0] * m.num_vertices + m.edges[:, 1]
+    assert (np.diff(keys) > 0).all()
 
 
 def test_build_edge_data_rejects_nonconforming():

@@ -1,0 +1,50 @@
+"""The public surface of plateflow holds only what the program uses.
+
+Every public module-level function and class of `src/plateflow` must be
+referenced by name outside its own definition: by another part of the
+package, by the benchmark in `perfbench/`, or through `plateflow.__all__`.
+A name that only tests call belongs in `tests/`.  Imports do not count as a
+use, so an unused import does not keep a name alive.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import plateflow
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "plateflow"
+BENCHMARK = ROOT / "perfbench"
+
+
+def names_read(node) -> set:
+    """The names and attribute names that a statement reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_has_a_user():
+    statements = []      # (module, top-level statement), imports left out
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += [(path.stem, node) for node in tree.body
+                       if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    benchmark = "\n".join(p.read_text() for p in sorted(BENCHMARK.glob("*.py")))
+    unused = []
+    for module, node in statements:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_") or node.name in plateflow.__all__):
+            continue
+        if any(other is not node and node.name in names_read(other)
+               for _, other in statements):
+            continue
+        if re.search(rf"\b{node.name}\b", benchmark):
+            continue
+        unused.append(f"{module}.{node.name}")
+    assert not unused, f"public names that nothing in the program uses: {unused}"
+
+
+def test_all_names_resolve():
+    missing = [name for name in plateflow.__all__ if not hasattr(plateflow, name)]
+    assert not missing
