@@ -7,8 +7,7 @@ linearization of the isometry constraint, and obstacles enter through a
 convex-concave penalty.
 """
 
-from .constraints import (apply_dirichlet, identity_boundary_data, isometry_defect,
-                          tangent_basis)
+from .constraints import apply_dirichlet, isometry_defect, tangent_basis
 from .dkt import DeformationField, flat_embedding, interpolate_dkt
 from .energy import (SimulationParams, assemble_bending_stiffness, curvature_terms,
                      penalty_terms, total_energy)
@@ -26,7 +25,7 @@ __all__ = [
     "RunReport", "SimulationParams", "TangentSystem", "TriangleMesh",
     "apply_dirichlet", "assemble_bending_stiffness", "build_edge_data",
     "curvature_terms", "flat_embedding", "generate_oshape_mesh",
-    "generate_rectangle_mesh", "identity_boundary_data", "interpolate_dkt",
+    "generate_rectangle_mesh", "interpolate_dkt",
     "isometry_defect", "load_mesh", "penalty_terms", "resolve", "run_flow",
     "save_mesh", "step_size_safeguard", "tag_dirichlet_boundary", "tangent_basis",
     "total_energy",

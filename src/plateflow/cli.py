@@ -8,6 +8,9 @@ rear-edge trace.
     plateflow --experiment oshape --level 2 --out runs/oshape2
     plateflow --experiment obstacle --cf 6e-3 --eps 5e-1 --out runs/obst
     plateflow --config run.cfg --tau 0.05
+
+A config file holds `key = value` lines, each standing for the flag
+--key (eps_stop = 1e-4 for --eps-stop 1e-4), checked like that flag.
 """
 
 from __future__ import annotations
@@ -19,26 +22,27 @@ import sys
 from . import io as pio
 from .flow import GradientFlow
 from .io import HistoryCsvWriter
-from .mesh import save_mesh
-from .presets import CONFIG_KEYS, ConfigError, RunConfig, resolve
+from .mesh import PATTERNS, save_mesh
+from .presets import PRESETS, ConfigError, RunConfig, resolve
 
-_FLOAT_KEYS = {"alpha", "tau", "eps", "cf", "eps_stop"}
-_INT_KEYS = {"level", "tau_scale", "max_iters", "vtk_every"}
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or value as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="plateflow",
         description="Constrained gradient-flow simulation of bilayer plate bending.")
-    p.add_argument("--experiment", choices=["rectangle", "oshape", "obstacle"],
-                   help="benchmark preset")
+    p.add_argument("--experiment", choices=PRESETS, help="benchmark preset")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--level", type=int, help="mesh refinement level, h = 2**-level")
-    p.add_argument("--pattern", choices=["nonsymmetric", "symmetric"])
+    p.add_argument("--pattern", choices=PATTERNS)
     p.add_argument("--alpha", type=float, help="spontaneous curvature parameter")
     p.add_argument("--tau", type=float, help="explicit step size (overrides the preset rule)")
-    p.add_argument("--tau-scale", type=int, dest="tau_scale",
-                   help="scale the preset step rule by 2**k")
     p.add_argument("--eps", type=float, help="obstacle penalty parameter")
     p.add_argument("--cf", type=float, help="vertical body force magnitude")
     p.add_argument("--eps-stop", type=float, dest="eps_stop", help="termination threshold")
@@ -50,48 +54,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment; unknown keys are rejected."""
-    out = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, value = (w.strip() for w in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = value
-    return out
-
-
-def parse_config(argv=None, parser=None) -> RunConfig:
-    """Merge CLI flags over an optional config file into a RunConfig."""
-    parser = parser or _build_parser()
-    args = parser.parse_args(argv)
-    merged: dict = {}
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key in _FLOAT_KEYS:
-                merged[key] = float(raw)
-            elif key in _INT_KEYS:
-                merged[key] = int(raw)
-            else:
-                merged[key] = raw
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    merged.setdefault("experiment", "oshape")
+def _config_flags(parser, path) -> list:
+    """The flags that the key=value lines of a config file name, each checked
+    by the parser; '#' starts a comment."""
     try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    settings = vars(parser.parse_args([]))
+    flags = []
+    for ln, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (w.strip() for w in line.partition("="))
+        if not sep:
+            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
+        if key not in settings or key == "config":
+            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+        try:
+            parser.parse_args(flags[-1:])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}") from exc
+    return flags
 
 
-def run_experiment(config: RunConfig, quiet: bool = False) -> int:
+def parse_config(argv=None) -> RunConfig:
+    """The RunConfig of the command line: the lines of an optional config file
+    become flags in front of `argv`, so flags win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(_config_flags(parser, args.config) + argv)
+    return RunConfig(**{key: value for key, value in vars(args).items()
+                        if value is not None and key != "config"})
+
+
+def run_experiment(config: RunConfig) -> int:
     run = resolve(config)
     out = config.out
     os.makedirs(out, exist_ok=True)
@@ -117,24 +119,18 @@ def run_experiment(config: RunConfig, quiet: bool = False) -> int:
     if run.echo["domain"] == "oshape":
         pio.write_rear_edge_trace(run.mesh, state.y, os.path.join(out, "rear_edge.csv"))
 
-    if not quiet:
-        print(f"{config.experiment}: {report.iterations} iterations "
-              f"({report.termination_reason}), energy {report.energy:.6g}, "
-              f"delta_iso {report.delta_iso:.4g}, delta_pen {report.delta_pen:.4g}")
-        if report.termination_detail:
-            print(report.termination_detail)
-        print(f"outputs in {out}")
+    print(f"{config.experiment}: {report.iterations} iterations "
+          f"({report.termination_reason}), energy {report.energy:.6g}, "
+          f"delta_iso {report.delta_iso:.4g}, delta_pen {report.delta_pen:.4g}")
+    if report.termination_detail:
+        print(report.termination_detail)
+    print(f"outputs in {out}")
     return 0 if report.termination_reason in ("converged", "max_iters") else 1
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run_experiment(config)
+        return run_experiment(parse_config(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

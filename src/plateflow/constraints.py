@@ -1,4 +1,4 @@
-"""Tangent space of the linearized isometry constraint, boundary data, and the
+"""Tangent space of the linearized isometry constraint, the clamp, and the
 isometry defect.
 
 Updates of the gradient flow live in the tangent space of the nodal isometry
@@ -19,8 +19,6 @@ C_z, which the flow checks for degeneracy, from one pass over the frames.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -114,34 +112,14 @@ def nodal_isometry_defects(field: DeformationField) -> np.ndarray:
     return np.sqrt(p * p + m * m + m * m + q * q)
 
 
-def identity_boundary_data():
-    """y_D = (x1, x2, 0), phi_D = [I2; 0]: the horizontal clamp of the benchmarks."""
-
-    def y_d(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1, 2)
-        return np.column_stack([x[:, 0], x[:, 1], np.zeros(len(x))])
-
-    def phi_d(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1, 2)
-        out = np.zeros((len(x), 3, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        return out
-
-    return y_d, phi_d
-
-
-def apply_dirichlet(field: DeformationField, mesh: TriangleMesh,
-                    y_d: Callable, phi_d: Callable) -> DeformationField:
-    """Overwrite the dofs of clamped vertices with the boundary data."""
+def apply_dirichlet(field: DeformationField, mesh: TriangleMesh) -> DeformationField:
+    """Clamp the dofs of the Dirichlet vertices flat, y_D = (x1, x2, 0) and
+    grad y_D = [I2; 0]: the clamp of the benchmarks."""
     out = field.copy()
     verts = mesh.dirichlet_vertices
-    if len(verts) == 0:
-        return out
-    pts = mesh.vertices[verts]
-    vals = np.asarray(y_d(pts), dtype=np.float64).reshape(-1, 3)
-    grads = np.asarray(phi_d(pts), dtype=np.float64).reshape(-1, 3, 2)
     nod = out.nodal()
-    nod[verts, :, 0] = vals
-    nod[verts, :, 1:] = grads
+    nod[verts] = 0.0
+    nod[verts, :2, 0] = mesh.vertices[verts]
+    nod[verts, 0, 1] = 1.0
+    nod[verts, 1, 2] = 1.0
     return out

@@ -236,10 +236,3 @@ def element_operators(mesh: TriangleMesh) -> ElementOperators:
     for c in range(3):
         idx[:, c] = (base[:, :, None] + 3 * c + np.arange(3)[None, None, :]).reshape(len(ids), 9)
     return ElementOperators(K9, D, triangle_areas(coords), idx)
-
-
-def local_scalar_dofs(mesh: TriangleMesh, field: DeformationField) -> np.ndarray:
-    """(F, 3comp, 9) element-local scalar dof vectors of each component."""
-    nod = field.nodal()[mesh.triangles]        # (F, 3v, 3c, 3kind)
-    return nod.transpose(0, 2, 1, 3).reshape(mesh.num_triangles, 3, 9)
-

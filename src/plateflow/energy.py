@@ -14,20 +14,19 @@ convex part s^2 and a concave part treated explicitly in the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .constraints import cross
-from .dkt import (DeformationField, ElementOperators, element_operators, local_scalar_dofs,
-                  vertex_lumped_masses)
+from .dkt import DeformationField, ElementOperators, element_operators, vertex_lumped_masses
 from .linsolve import vertex_pair_blocks
 from .mesh import TriangleMesh
 
 MODES = ("isometry_flow", "penalized_flow")
 
-ForceLike = Union[None, np.ndarray, tuple, list, Callable]
+ForceLike = Union[None, np.ndarray, tuple, list]
 
 
 @dataclass
@@ -38,8 +37,8 @@ class SimulationParams:
     tau        pseudo-time step
     eps_stop   termination threshold on the update norm ||grad theta(d_t y)||
     eps_penalty  obstacle penalty parameter (penalized mode only)
-    f          body force: None, a constant 3-vector, or a callable of the
-               reference coordinates returning (N, 3)
+    f          body force: None, a constant 3-vector, or one 3-vector per
+               vertex, shape (V, 3)
     obstacle_height  height of the flat obstacle plane (1.0 in the benchmarks)
     """
 
@@ -59,6 +58,8 @@ class SimulationParams:
             raise ValueError("tau must be positive")
         if not (self.eps_stop > 0):
             raise ValueError("eps_stop must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if self.mode == "penalized_flow":
@@ -141,11 +142,11 @@ def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
 
 def force_rhs(mesh: TriangleMesh, f: ForceLike) -> np.ndarray:
     """Vertex-lumped load vector: entry (z, c, value) = f_c(z) * m_z, for f
-    None, a constant 3-vector, or a callable of the vertices returning (V, 3)."""
+    None, a constant 3-vector, or one 3-vector per vertex, shape (V, 3)."""
     r = np.zeros((mesh.num_vertices, 3, 3))
     if f is not None:
-        fv = np.asarray(f(mesh.vertices) if callable(f) else f, dtype=np.float64)
-        r[:, :, 0] = vertex_lumped_masses(mesh)[:, None] * fv.reshape(-1, 3)
+        fv = np.asarray(f, dtype=np.float64).reshape(-1, 3)
+        r[:, :, 0] = vertex_lumped_masses(mesh)[:, None] * fv
     return r.reshape(-1)
 
 
@@ -165,7 +166,7 @@ def total_energy(mesh: TriangleMesh, field: DeformationField, params: Simulation
     else:
         if ops is None:
             ops = element_operators(mesh)
-        loc = local_scalar_dofs(mesh, field)
+        loc = field.dofs[ops.scalar_dof_indices]
         bend = 0.5 * float(np.einsum("fcl,flm,fcm->", loc, ops.bending, loc))
     e = bend - curvature_terms(mesh, field, params.alpha, ops)[0]
     if params.f is not None:

@@ -43,7 +43,6 @@ from .linsolve import SaddleSolveError, TangentSystem
 from .mesh import TriangleMesh
 
 MIN_BLOCK_SINGULAR_VALUE = 1e-3
-TERMINATION_REASONS = ("converged", "max_iters", "solver_failure", "degeneracy")
 
 
 class StepSizeWarning(UserWarning):

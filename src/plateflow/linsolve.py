@@ -387,19 +387,18 @@ class TangentSystem:
         self._blocks = blocks[upper]
         self._num_diagonal = int(np.count_nonzero(self._rows == self._cols))
         self._values = np.empty((len(upper), 30))
+        self._abs = np.empty_like(self._values)
         # R x from the blocks: the blocks R_ij with i <= j as they are, and
-        # the off-diagonal ones transposed; both read the stored entries in
-        # `_values`
+        # the off-diagonal ones transposed, as two views of the stored entries
+        # in `_values`; the same views of `_abs` give |R| x
         r = (6 * self._rows[:, None] + _BLOCK_ROWS).reshape(-1).astype(np.int32)
         c = (6 * self._cols[:, None] + _BLOCK_COLS).reshape(-1).astype(np.int32)
         d = 30 * self._num_diagonal
         shape = (6 * n, 6 * n)
-        self._upper = sp.coo_matrix((self._values.reshape(-1), (r, c)), shape=shape)
-        self._lower = sp.coo_matrix((self._values.reshape(-1)[d:], (c[d:], r[d:])), shape=shape)
-        # the rows of R that the six row sums and the six column sums of the
-        # blocks add to in ||R||_inf: 6 i + a, then 6 j + b
-        self._sum_target = np.concatenate([6 * self._rows + np.arange(6)[:, None],
-                                           6 * self._cols + np.arange(6)[:, None]]).reshape(-1)
+        self._views, self._abs_views = (
+            (sp.coo_matrix((data.reshape(-1), (r, c)), shape=shape),
+             sp.coo_matrix((data.reshape(-1)[d:], (c[d:], r[d:])), shape=shape))
+            for data in (self._values, self._abs))
         self._factorize = _BandCholesky(self._rows, self._cols, n)
         self._value_diagonal = (None if value_diagonal is None
                                 else np.asarray(value_diagonal)[self.vertices])
@@ -433,32 +432,20 @@ class TangentSystem:
             values[:self._num_diagonal, :3] += self._value_diagonal
         return values
 
-    def _product(self, x) -> np.ndarray:
-        """R x for the blocks of the last `assemble`."""
-        y = self._upper @ x
-        y += self._lower @ x
+    def _product(self, x, views=None) -> np.ndarray:
+        """R x for the blocks of the last `assemble`, or the product of the
+        given pair of views."""
+        upper, lower = views or self._views
+        y = upper @ x
+        y += lower @ x
         return y
 
     def _inf_norm(self, values) -> float:
-        """||R||_inf from the stored entries of the blocks R_ij with i <= j:
-        each block adds its absolute row sums to the rows of vertex i and,
-        transposed, its absolute column sums to the rows of vertex j; a
-        diagonal block adds its row sums only."""
-        # one row per stored entry, so that the sums run along whole rows: the
-        # value-value diagonal, then three 3 x 3 groups, each row by row, of
-        # value rows by kernel columns, kernel rows by value columns (the
-        # group transposed) and kernel-kernel
-        a = np.abs(values.T, order="C")
-        groups = a[3:].reshape(3, 3, 3, -1)
-        across, down = groups.sum(axis=2), groups.sum(axis=1)
-        sums = np.empty((2, 6, len(values)))
-        np.add(a[:3], across[0], out=sums[0, :3])
-        np.add(down[1], across[2], out=sums[0, 3:])
-        np.add(a[:3], across[1], out=sums[1, :3])
-        np.add(down[0], down[2], out=sums[1, 3:])
-        sums[1, :, :self._num_diagonal] = 0.0
-        return float(np.bincount(self._sum_target, weights=sums.reshape(-1),
-                                 minlength=6 * len(self.vertices)).max(initial=0.0))
+        """||R||_inf = max(|R| 1) for the stored entries `values` of the last
+        `assemble`."""
+        np.abs(values, out=self._abs)
+        return float(self._product(np.ones(6 * len(self.vertices)),
+                                   self._abs_views).max(initial=0.0))
 
     def solve(self, Q, rhs) -> np.ndarray:
         """Return the dofs d = Z u with (Z^T A Z) u = Z^T rhs.

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constraints import apply_dirichlet, identity_boundary_data
+from .constraints import apply_dirichlet
 from .dkt import DeformationField, flat_embedding
 from .energy import SimulationParams
+from .io import load_field
 from .mesh import (TriangleMesh, generate_oshape_mesh, generate_rectangle_mesh,
                    tag_dirichlet_boundary)
 
@@ -43,9 +44,6 @@ PRESETS = {
 MAX_LEVEL = 5
 _LEVEL_6_GIB = {"oshape": 4.2, "rectangle": 10.0}
 
-CONFIG_KEYS = ("experiment", "level", "pattern", "alpha", "tau", "tau_scale",
-               "eps", "cf", "eps_stop", "max_iters", "out", "vtk_every", "resume")
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -59,8 +57,7 @@ class RunConfig:
     level: Optional[int] = None
     pattern: Optional[str] = None
     alpha: Optional[float] = None
-    tau: Optional[float] = None          # explicit step size, overrides the rule
-    tau_scale: int = 0                   # tau = 2**tau_scale * h / denominator
+    tau: Optional[float] = None          # explicit step size, overrides h / denominator
     eps: Optional[float] = None
     cf: Optional[float] = None
     eps_stop: float = 1.0e-3
@@ -88,8 +85,6 @@ def resolve(config: RunConfig) -> ResolvedRun:
     """Build the mesh, parameters and initial state a config describes."""
     preset = PRESETS[config.experiment]
     level = preset["level"] if config.level is None else int(config.level)
-    if level < 0:
-        raise ConfigError("level must be a nonnegative integer")
     if level > MAX_LEVEL:
         raise ConfigError(f"level {level} is finer than {MAX_LEVEL}, the finest level the "
                           f"presets accept: at level 6 the factorization alone would store "
@@ -101,41 +96,34 @@ def resolve(config: RunConfig) -> ResolvedRun:
     eps = preset["eps"] if config.eps is None else float(config.eps)
 
     h = 2.0 ** (-level)
-    tau = float(config.tau) if config.tau is not None else \
-        (2.0 ** config.tau_scale) * h / preset["tau_denominator"]
-
-    if mode == "penalized_flow" and (eps is None or not eps > 0):
-        raise ConfigError("penalized mode requires a positive eps")
+    tau = h / preset["tau_denominator"] if config.tau is None else float(config.tau)
     if mode != "penalized_flow" and config.eps is not None:
         raise ConfigError(f"eps is only meaningful for the obstacle experiment, "
                           f"not {config.experiment!r}")
 
-    if preset["domain"] == "rectangle":
-        mesh = generate_rectangle_mesh(level, pattern)
-    else:
-        mesh = generate_oshape_mesh(level, pattern)
-    mesh = tag_dirichlet_boundary(mesh, preset["dirichlet"])
-
-    f = (0.0, 0.0, cf) if cf else None
-    params = SimulationParams(alpha=alpha, tau=tau, eps_stop=config.eps_stop,
-                              eps_penalty=eps, f=f, mode=mode,
-                              max_iters=config.max_iters)
-
-    if config.resume:
-        from .io import load_field
-        initial = load_field(config.resume)
-        if initial.dofs.size != 9 * mesh.num_vertices:
-            raise ConfigError(f"checkpoint {config.resume!r} does not match the mesh "
-                              f"({initial.num_vertices} vs {mesh.num_vertices} vertices)")
-    else:
-        initial = flat_embedding(mesh)
-    y_d, phi_d = identity_boundary_data()
-    initial = apply_dirichlet(initial, mesh, y_d, phi_d)
+    # the mesh, the parameters and the checkpoint check their own inputs
+    try:
+        if preset["domain"] == "rectangle":
+            mesh = generate_rectangle_mesh(level, pattern)
+        else:
+            mesh = generate_oshape_mesh(level, pattern)
+        mesh = tag_dirichlet_boundary(mesh, preset["dirichlet"])
+        f = (0.0, 0.0, cf) if cf else None
+        params = SimulationParams(alpha=alpha, tau=tau, eps_stop=config.eps_stop,
+                                  eps_penalty=eps, f=f, mode=mode,
+                                  max_iters=config.max_iters)
+        initial = load_field(config.resume) if config.resume else flat_embedding(mesh)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if initial.dofs.size != 9 * mesh.num_vertices:
+        raise ConfigError(f"checkpoint {config.resume!r} does not match the mesh "
+                          f"({initial.num_vertices} vs {mesh.num_vertices} vertices)")
+    initial = apply_dirichlet(initial, mesh)
 
     echo = {
         "experiment": config.experiment, "domain": preset["domain"],
         "level": level, "pattern": pattern, "h": h,
-        "alpha": alpha, "tau": tau, "tau_scale": config.tau_scale,
+        "alpha": alpha, "tau": tau,
         "eps": eps if eps is not None else "none", "cf": cf,
         "eps_stop": config.eps_stop, "mode": mode,
         "max_iters": config.max_iters, "vtk_every": config.vtk_every,

@@ -299,7 +299,7 @@ def nonlinear_energy_term(mesh, field, alpha, ops=None):
     """alpha * L{ lap_h(y) . (d1 y x d2 y) }; enters the energy with a minus sign."""
     if ops is None:
         ops = dkt.element_operators(mesh)
-    loc = dkt.local_scalar_dofs(mesh, field)
+    loc = field.dofs[ops.scalar_dof_indices]
     lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)       # (F, 3v, 3c)
     nu = nodal_normals(field)[mesh.triangles]                  # (F, 3v, 3c)
     return alpha * lumped_p1_integral(mesh, np.einsum("fpc,fpc->fp", lap, nu))
@@ -317,7 +317,7 @@ def nonlinear_rhs(mesh, field, alpha, ops=None):
     a1 = g[:, :, 0][tri]                                       # (F, 3v, 3c)
     a2 = g[:, :, 1][tri]
     nu = np.cross(a1, a2)
-    loc = dkt.local_scalar_dofs(mesh, field)
+    loc = field.dofs[ops.scalar_dof_indices]
     lap = np.einsum("fpl,fcl->fpc", ops.divergence, loc)
 
     r = np.zeros(9 * mesh.num_vertices)
@@ -390,7 +390,7 @@ def flat_energy_rounding_scale(mesh, field):
     state, and so the scale of the rounding left in the energy.
     """
     ops = dkt.element_operators(mesh)
-    loc = np.abs(dkt.local_scalar_dofs(mesh, field))
+    loc = np.abs(field.dofs[ops.scalar_dof_indices])
     return EPS * 0.5 * float(np.einsum("fcl,flm,fcm->", loc, np.abs(ops.bending), loc))
 
 

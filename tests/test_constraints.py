@@ -141,10 +141,9 @@ def test_isometry_defect_values(rect_l2):
 
 def test_apply_dirichlet_identity_data(rect_l2_clamped):
     m = rect_l2_clamped
-    y_d, phi_d = cn.identity_boundary_data()
     rng = np.random.default_rng(71)
     field = random_field(m, rng)
-    fixed = cn.apply_dirichlet(field, m, y_d, phi_d)
+    fixed = cn.apply_dirichlet(field, m)
     nod = fixed.nodal()
     for v in m.dirichlet_vertices:
         assert np.allclose(nod[v, :, 0], [m.vertices[v, 0], m.vertices[v, 1], 0.0])
@@ -156,17 +155,15 @@ def test_apply_dirichlet_identity_data(rect_l2_clamped):
 
 def test_apply_dirichlet_idempotent(rect_l2_clamped):
     m = rect_l2_clamped
-    y_d, phi_d = cn.identity_boundary_data()
     rng = np.random.default_rng(73)
     field = random_field(m, rng)
-    once = cn.apply_dirichlet(field, m, y_d, phi_d)
-    twice = cn.apply_dirichlet(once, m, y_d, phi_d)
+    once = cn.apply_dirichlet(field, m)
+    twice = cn.apply_dirichlet(once, m)
     assert np.array_equal(once.dofs, twice.dofs)
 
 
 def test_apply_dirichlet_empty_set(rect_l2):
-    y_d, phi_d = cn.identity_boundary_data()
     rng = np.random.default_rng(79)
     field = random_field(rect_l2, rng)
-    out = cn.apply_dirichlet(field, rect_l2, y_d, phi_d)
+    out = cn.apply_dirichlet(field, rect_l2)
     assert np.array_equal(out.dofs, field.dofs)

@@ -111,7 +111,7 @@ def test_global_reconstruction_matches_across_shared_edges(rect_l2):
     rng = np.random.default_rng(7)
     field = random_field(rect_l2, rng)
     G = dkt.dkt_gradient_matrices(rect_l2.triangle_coords(), rect_l2.triangles)
-    loc = dkt.local_scalar_dofs(rect_l2, field)
+    loc = field.dofs[dkt.element_operators(rect_l2).scalar_dof_indices]
     mids = {}
     for f, tri in enumerate(rect_l2.triangles):
         th = (G[f] @ loc[f, 0]).reshape(6, 2)  # first component
@@ -199,7 +199,7 @@ def test_cylinder_bending_energy_first_order():
         m = pm.generate_rectangle_mesh(level)
         ops = dkt.element_operators(m)
         field = interpolate_dkt(m, y, grad)
-        loc = dkt.local_scalar_dofs(m, field)
+        loc = field.dofs[ops.scalar_dof_indices]
         energy = 0.5 * np.einsum("fcl,flm,fcm->", loc, ops.bending, loc)
         errs.append(abs(energy - target))
     assert errs[1] < 0.7 * errs[0]
@@ -298,7 +298,7 @@ def test_cylinder_interpolation_nodal_isometry(rect_l2):
 def reconstruction_hessians(m, field, bary):
     """Gradient of the reconstructed quadratic field at barycentric points,
     shape (F, npts, 3 comps, 2, 2): rows d, columns e of d(theta_d)/dx_e."""
-    loc = dkt.local_scalar_dofs(m, field)
+    loc = field.dofs[dkt.element_operators(m).scalar_dof_indices]
     G6 = dkt.dkt_gradient_matrices(m.triangle_coords(), m.triangles).reshape(-1, 6, 2, 9)
     theta_nodes = np.einsum("fnde,fce->fcnd", G6, loc)     # (F, c, 6, 2)
     dN = dkt.p2_physical_gradients(m.triangle_coords(), bary)  # (F, p, 6, 2)
@@ -370,7 +370,8 @@ class SeminormKit:
         bary, self.wq = TRI_QUAD_DEGREE5
         self.m = m
         self.ev = CubicEvaluator(m, bary)
-        self.bending = dkt.element_operators(m).bending
+        ops = dkt.element_operators(m)
+        self.bending, self.dof_indices = ops.bending, ops.scalar_dof_indices
         self.areas = m.triangle_areas
         self.weights = self.areas[:, None] * self.wq        # (F, npts)
         G6 = dkt.dkt_gradient_matrices(m.triangle_coords(), m.triangles).reshape(-1, 6, 2, 9)
@@ -386,7 +387,7 @@ class SeminormKit:
     def norms(self, field):
         g = self.ev.gradients(field)                         # (F, p, c, 2)
         h = self.ev.hessians(field)
-        loc = dkt.local_scalar_dofs(self.m, field)           # (F, c, 9)
+        loc = field.dofs[self.dof_indices]                   # (F, c, 9)
         theta_q = (self.theta_map @ loc.transpose(0, 2, 1)).reshape(
             g.shape[:2] + (2, -1)).transpose(0, 1, 3, 2)     # (F, p, c, 2)
         bend_elem = ((loc @ self.bending) * loc).sum(axis=(1, 2))

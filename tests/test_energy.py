@@ -71,7 +71,7 @@ def test_stiffness_matches_element_sum(rect_l2):
     K = en.assemble_bending_stiffness(rect_l2)
     quad = 0.5 * float(field.dofs @ (K @ field.dofs))
     ops = dkt.element_operators(rect_l2)
-    loc = dkt.local_scalar_dofs(rect_l2, field)
+    loc = field.dofs[ops.scalar_dof_indices]
     elem = 0.5 * float(np.einsum("fcl,flm,fcm->", loc, ops.bending, loc))
     assert np.isclose(quad, elem, rtol=0, atol=1e-12 * max(1.0, abs(elem)))
 
@@ -148,7 +148,7 @@ def test_nonlinear_rhs_flat_state_hits_third_component(rect_l2):
     ops = dkt.element_operators(rect_l2)
     for _ in range(5):
         w = random_field(rect_l2, rng)
-        lap = np.einsum("fpl,fcl->fpc", ops.divergence, dkt.local_scalar_dofs(rect_l2, w))
+        lap = np.einsum("fpl,fcl->fpc", ops.divergence, w.dofs[ops.scalar_dof_indices])
         expect = alpha * lumped_p1_integral(rect_l2, lap[:, :, 2])
         assert np.isclose(r @ w.dofs, expect, atol=1e-10 * max(1, abs(expect)))
 
@@ -217,7 +217,7 @@ def test_force_rhs_lumping_identity(rect_l2):
     rng = np.random.default_rng(43)
     fv = rng.standard_normal((rect_l2.num_vertices, 3))
     gv = rng.standard_normal((rect_l2.num_vertices, 3))
-    r = en.force_rhs(rect_l2, lambda x: fv)
+    r = en.force_rhs(rect_l2, fv)
     g = np.zeros((rect_l2.num_vertices, 3, 3))
     g[:, :, 0] = gv
     dots = (fv * gv).sum(axis=1)

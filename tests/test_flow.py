@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky_banded
 
 from plateflow import linsolve, mesh as pm
-from plateflow.constraints import identity_boundary_data, tangent_basis
+from plateflow.constraints import tangent_basis
 from plateflow.dkt import flat_embedding, vertex_lumped_masses
 from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_safeguard
@@ -102,7 +102,6 @@ def test_degeneracy_detected(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=5)
     y0 = flat_embedding(m)
     y0.nodal()[:, :, 1:] = 0.0
-    y_d, phi_d = identity_boundary_data()
     report, _ = run_flow(m, params, y0=y0)
     assert report.termination_reason == "degeneracy"
     assert "min singular value" in report.termination_detail

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -176,13 +177,6 @@ def test_parse_obstacle_preset():
     assert np.allclose(run.params.f, (0.0, 0.0, 6.0e-3))
 
 
-def test_tau_scale_doubles_step():
-    base = resolve(parse_config(["--experiment", "oshape", "--level", "2"]))
-    scaled = resolve(parse_config(["--experiment", "oshape", "--level", "2",
-                                   "--tau-scale", "1"]))
-    assert np.isclose(scaled.params.tau, 2 * base.params.tau)
-
-
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -289,3 +283,26 @@ def test_cli_invalid_usage(tmp_path, capsys):
     rc = main(["--experiment", "oshape", "--eps", "0.5", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config, cause", [
+    (["--tau", "-1"], None, "tau must be positive"),
+    (["--eps-stop", "0"], None, "eps_stop must be positive"),
+    (["--alpha", "nan"], None, "alpha must be finite"),
+    (["--max-iters", "-5"], None, "max_iters must be nonnegative"),
+    (["--config", "run.cfg"], "level = abc\n", r"run\.cfg:1: .*invalid int value: 'abc'"),
+    (["--config", "run.cfg"], "# comment\npattern = diagonal\n",
+     r"run\.cfg:2: .*invalid choice: 'diagonal'"),
+    (["--config", "missing.cfg"], None, r"'missing\.cfg': No such file"),
+    (["--resume", "missing.field"], None, r"No such file .*'missing\.field'"),
+], ids=["tau", "eps-stop", "alpha", "max-iters", "file-level", "file-pattern",
+        "missing-config", "missing-resume"])
+def test_invalid_inputs_report_their_cause(tmp_path, capsys, monkeypatch, args, config, cause):
+    # each is refused with its cause and status 2 before any output is written
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    assert main(["--experiment", "oshape", "--level", "1", *args, "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(cause, err), err
+    assert not (tmp_path / "run").exists()

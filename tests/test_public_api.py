@@ -1,10 +1,11 @@
 """The public surface of plateflow holds only what the program uses.
 
-Every public module-level function and class of `src/plateflow` must be
-referenced by name outside its own definition: by another part of the
-package, by the benchmark in `perfbench/`, or through `plateflow.__all__`.
-A name that only tests call belongs in `tests/`.  Imports do not count as a
-use, so an unused import does not keep a name alive.
+Every public module-level function, class and constant of `src/plateflow`
+must be referenced by name outside its own definition: by another part of
+the package, by the benchmark in `perfbench/`, or through
+`plateflow.__all__`.  A name that only tests use belongs in `tests/`.
+Imports do not count as a use, so an unused import does not keep a name
+alive.
 """
 
 import ast
@@ -24,7 +25,19 @@ def names_read(node) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_has_a_user():
+def names_defined(node) -> list:
+    """The module-level names that a def, a class or an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def unused_public_names(kinds) -> list:
+    """The public names bound by top-level statements of the given kinds that
+    nothing in the package, the benchmark or `__all__` uses."""
     statements = []      # (module, top-level statement), imports left out
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -33,16 +46,28 @@ def test_every_public_definition_has_a_user():
     benchmark = "\n".join(p.read_text() for p in sorted(BENCHMARK.glob("*.py")))
     unused = []
     for module, node in statements:
-        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                or node.name.startswith("_") or node.name in plateflow.__all__):
+        if not isinstance(node, kinds):
             continue
-        if any(other is not node and node.name in names_read(other)
-               for _, other in statements):
-            continue
-        if re.search(rf"\b{node.name}\b", benchmark):
-            continue
-        unused.append(f"{module}.{node.name}")
+        for name in names_defined(node):
+            if name.startswith("_") or name in plateflow.__all__:
+                continue
+            if any(other is not node and name in names_read(other)
+                   for _, other in statements):
+                continue
+            if re.search(rf"\b{name}\b", benchmark):
+                continue
+            unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_public_definition_has_a_user():
+    unused = unused_public_names((ast.FunctionDef, ast.ClassDef))
     assert not unused, f"public names that nothing in the program uses: {unused}"
+
+
+def test_every_public_constant_has_a_user():
+    unused = unused_public_names((ast.Assign, ast.AnnAssign))
+    assert not unused, f"public constants that nothing in the program uses: {unused}"
 
 
 def test_all_names_resolve():
