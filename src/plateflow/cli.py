@@ -96,17 +96,19 @@ def parse_config(argv=None) -> RunConfig:
 def run_experiment(config: RunConfig) -> int:
     run = resolve(config)
     out = config.out
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc.strerror}") from exc
     save_mesh(run.mesh, os.path.join(out, "mesh.txt"))
 
     flow = GradientFlow(run.mesh, run.params)
     height = run.params.obstacle_height
-    vtk_every = max(int(config.vtk_every), 0)
 
     with HistoryCsvWriter(os.path.join(out, "history.csv")) as history:
         def on_step(state):
             history.write(state.history[-1])
-            if vtk_every and state.k % vtk_every == 0:
+            if config.vtk_every and state.k % config.vtk_every == 0:
                 pio.write_vtk_surface(state.y, run.mesh,
                                       os.path.join(out, f"surface_{state.k:07d}.vtk"),
                                       height)

@@ -54,17 +54,17 @@ class SimulationParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
-        if not (self.eps_stop > 0):
-            raise ValueError("eps_stop must be positive")
+        for name in ("tau", "eps_stop"):
+            if not (0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if self.mode == "penalized_flow":
-            if self.eps_penalty is None or not (self.eps_penalty > 0):
-                raise ValueError("penalized mode requires eps_penalty > 0")
+        for name in ("alpha", "obstacle_height", "f"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+        if self.mode == "penalized_flow" and not (0 < (self.eps_penalty or 0) < np.inf):
+            raise ValueError("penalized mode requires a finite eps_penalty > 0")
 
     @property
     def penalized(self) -> bool:

@@ -26,8 +26,8 @@ of columns that share a leading dimension (Jennings, Comput. J. 9, 1966).  A
 step scatters the blocks straight into that storage, at positions fixed at
 set-up, and a blocked Cholesky factors it there on one BLAS thread: each
 panel of columns updates only the rows its envelope reaches, with dense BLAS
-and LAPACK kernels, and a band triangular solve on each run, with
-matrix-vector products between the runs, solves with the factor.  The
+and LAPACK kernels.  The solves with the factor run a band triangular solve
+on each run and one band matrix-vector product into the next.  The
 residual R u and ||R||_inf are computed from the blocks.  A single step of
 iterative refinement keeps the solve within its normwise backward-error
 contract.  Factorizations are deterministic:
@@ -93,17 +93,13 @@ _dtrsm = _routine(cython_blas, "dtrsm")
 _dsyrk = _routine(cython_blas, "dsyrk")
 _dgemm = _routine(cython_blas, "dgemm")
 _dtbsv = _routine(cython_blas, "dtbsv")
-_dgemv = _routine(cython_blas, "dgemv")
-
-
-def _int_ref(value):
-    return ctypes.pointer(ctypes.c_int(value))
+_dgbmv = _routine(cython_blas, "dgbmv")
 
 
 _LOWER, _RIGHT, _TRANSPOSE, _NO_TRANSPOSE = (ctypes.c_char_p(flag)
                                               for flag in (b"L", b"R", b"T", b"N"))
 _PLUS_ONE, _MINUS_ONE = (ctypes.pointer(ctypes.c_double(x)) for x in (1.0, -1.0))
-_ONE = _int_ref(1)
+_ONE = ctypes.pointer(ctypes.c_int(1))
 
 
 class SaddleSolveError(RuntimeError):
@@ -194,8 +190,9 @@ class _BandCholesky:
     that block crosses at most one boundary, and the dense view of the next
     segment holds the part past it, which a `dsyrk` updates there after a
     `dgemm` on the rows below the part before it.  The solves run `dtbsv` on
-    each segment as a band and carry the rows of the next segment over with
-    `dgemv` on the panels that reach them.
+    each segment as a band and one `dgbmv` into the next: a segment has more
+    columns than its ld, so the rows it reaches there are an upper triangle
+    in the band storage of its last ld columns.
 
     Calling it with the stored entries of the blocks (pairs, 30) scatters them
     into the storage, allocated once, factors R there, replacing the previous
@@ -258,11 +255,11 @@ class _BandCholesky:
         self._x = np.empty(N)
         self._info = ctypes.c_int(0)
         info = ctypes.byref(self._info)
-        ints = {}
+        ints = {1: _ONE}
 
         def int_ref(value):
             if value not in ints:
-                ints[value] = _int_ref(value)
+                ints[value] = ctypes.pointer(ctypes.c_int(value))
             return ints[value]
 
         store, x, double = self._store.ctypes.data, self._x.ctypes.data, self._x.itemsize
@@ -279,11 +276,6 @@ class _BandCholesky:
         panels = iter(self.plan)
         for k, (start, end, ld) in enumerate(self.segments):
             ld_ref = int_ref(ld)
-            next_ld_ref = int_ref(self.segments[k + 1][2]) if k + 1 < len(self.segments) else None
-            band = (int_ref(end - start), ld_ref, at(start, start), int_ref(ld + 1),
-                    x_at(start), _ONE)
-            forward.append((_dtbsv, (_LOWER, _NO_TRANSPOSE, _NO_TRANSPOSE, *band)))
-            carries = []
             for c, w, m in panels:
                 # the trailing block: rows and columns top to bottom - 1, of
                 # which those from split on lie in the next segment
@@ -307,21 +299,25 @@ class _BandCholesky:
                                                  ld_ref)))
                     updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, rows_past, w_ref, _MINUS_ONE,
                                              rest, ld_ref, _PLUS_ONE, at(split, split),
-                                             next_ld_ref)))
-                    # the solves carry the panel over to the rows of the next
-                    # segment that it reaches
-                    carry = (rows_past, w_ref, _MINUS_ONE, rest, ld_ref)
-                    x_panel, x_past = x_at(c), x_at(split)
-                    forward.append((_dgemv, (_NO_TRANSPOSE, *carry, x_panel, _ONE, _PLUS_ONE,
-                                             x_past, _ONE)))
-                    carries.append((_dgemv, (_TRANSPOSE, *carry, x_past, _ONE, _PLUS_ONE,
-                                              x_panel, _ONE)))
+                                             int_ref(self.segments[k + 1][2]))))
                 self._panels.append((c, (_LOWER, w_ref, diagonal, ld_ref, info), updates))
                 if top == end:
                     break
-            backward[:0] = [*carries, (_dtbsv, (_LOWER, _TRANSPOSE, _NO_TRANSPOSE, *band))]
+            band = (int_ref(end - start), ld_ref, at(start, start), int_ref(ld + 1),
+                    x_at(start), _ONE)
+            forward.append((_dtbsv, (_LOWER, _NO_TRANSPOSE, _NO_TRANSPOSE, *band)))
+            backward.append((_dtbsv, (_LOWER, _TRANSPOSE, _NO_TRANSPOSE, *band)))
+            if end < N:
+                # rows end to end + ld - 1 of the last ld columns: kl = 0, ku = ld - 1
+                triangle = (int_ref(min(ld, N - end)), ld_ref, int_ref(0), int_ref(ld - 1),
+                            _MINUS_ONE, at(end - ld + 1, end - ld), int_ref(ld + 1))
+                x_last, x_next = x_at(end - ld), x_at(end)
+                forward.append((_dgbmv, (_NO_TRANSPOSE, *triangle, x_last, _ONE, _PLUS_ONE,
+                                         x_next, _ONE)))
+                backward.append((_dgbmv, (_TRANSPOSE, *triangle, x_next, _ONE, _PLUS_ONE,
+                                          x_last, _ONE)))
         # L y = b segment by segment, then L^T x = y from the last segment back
-        self._substitutions = forward + backward
+        self._substitutions = forward + backward[::-1]
 
     def __call__(self, values):
         store, d = self._store, self._num_diagonal

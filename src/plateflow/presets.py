@@ -70,6 +70,8 @@ class RunConfig:
         if self.experiment not in PRESETS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {sorted(PRESETS)}")
+        if self.vtk_every < 0:
+            raise ConfigError("vtk_every must be nonnegative")
 
 
 @dataclass

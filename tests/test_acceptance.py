@@ -181,6 +181,28 @@ def _check_table_row(tag, report, level):
           f"delta_iso {report.delta_iso:.4e} (ref {d_tab:.4e} ±15%)")
 
 
+def _check_printed_row(tag, run, level):
+    """The published row to its printed digits: the exact iteration count,
+    and the energy and delta_iso as `OSHAPE_TABLE` prints them (:.3e).  The
+    detail gives the margins: how far each value lies inside the interval
+    that rounds to its printed digits, and how far the last two update norms
+    lie on either side of eps_stop, relative to it."""
+    report, state = run
+    eps_stop = 1e-3  # as in run_oshape
+    iters, *published = OSHAPE_TABLE[level]
+    values = (report.energy_with_mismatch_constant, report.delta_iso)
+    ok = report.converged and report.iterations == iters
+    details = [f"iters {report.iterations} (ref {iters})"]
+    for name, value, ref in zip(("energy", "delta_iso"), values, published):
+        ok &= f"{value:.3e}" == f"{ref:.3e}"
+        margin = 0.5 * 10.0 ** (np.floor(np.log10(abs(ref))) - 3) - abs(value - ref)
+        details.append(f"{name} {value:.6e} (ref {ref:.3e}, margin {margin:.2e})")
+    before, last = (record.update_norm for record in state.history[-2:])
+    details.append(f"last update norms {(before - eps_stop) / eps_stop:.2e} above and "
+                   f"{(eps_stop - last) / eps_stop:.2e} below eps_stop")
+    check(tag, ok, ", ".join(details))
+
+
 @pytest.mark.acceptance
 def test_criterion_5_oshape_level1(oshape_l1_runs, tmp_path):
     report, _ = oshape_l1_runs[5]
@@ -196,6 +218,16 @@ def test_criterion_5_oshape_level1(oshape_l1_runs, tmp_path):
 def test_criterion_5_oshape_level2(oshape_l2_run):
     report, _ = oshape_l2_run
     _check_table_row("5b (O-shape level 2 vs published row)", report, 2)
+
+
+@pytest.mark.acceptance
+def test_criterion_5_oshape_level1_printed_digits(oshape_l1_runs):
+    _check_printed_row("5c (O-shape level 1, printed digits)", oshape_l1_runs[5], 1)
+
+
+@pytest.mark.acceptance
+def test_criterion_5_oshape_level2_printed_digits(oshape_l2_run):
+    _check_printed_row("5d (O-shape level 2, printed digits)", oshape_l2_run, 2)
 
 
 @pytest.mark.acceptance
@@ -294,5 +326,6 @@ def test_criterion_10_rectangle_smoke(rect_l1_run, oshape_l1_runs, tmp_path):
 @pytest.mark.acceptance
 @pytest.mark.parametrize("level", [3, 4])
 def test_criterion_10_slow_oshape_rows(level):
-    report, _ = run_oshape(level)
-    _check_table_row(f"10-slow (O-shape level {level} vs published row)", report, level)
+    run = run_oshape(level)
+    _check_table_row(f"10-slow (O-shape level {level} vs published row)", run[0], level)
+    _check_printed_row(f"10-slow (O-shape level {level}, printed digits)", run, level)

@@ -295,14 +295,19 @@ def test_cli_invalid_usage(tmp_path, capsys):
      r"run\.cfg:2: .*invalid choice: 'diagonal'"),
     (["--config", "missing.cfg"], None, r"'missing\.cfg': No such file"),
     (["--resume", "missing.field"], None, r"No such file .*'missing\.field'"),
+    (["--tau", "inf"], None, "tau must be positive and finite"),
+    (["--experiment", "obstacle", "--cf", "nan"], None, "f must be finite"),
+    (["--out="], None, r"cannot create output directory '': No such file"),
+    (["--vtk-every", "-3"], None, "vtk_every must be nonnegative"),
 ], ids=["tau", "eps-stop", "alpha", "max-iters", "file-level", "file-pattern",
-        "missing-config", "missing-resume"])
+        "missing-config", "missing-resume", "tau-inf", "force-nan", "empty-out",
+        "vtk-every"])
 def test_invalid_inputs_report_their_cause(tmp_path, capsys, monkeypatch, args, config, cause):
     # each is refused with its cause and status 2 before any output is written
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
-    assert main(["--experiment", "oshape", "--level", "1", *args, "--out", "run"]) == 2
+    assert main(["--experiment", "oshape", "--level", "1", "--out", "run", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(cause, err), err
     assert not (tmp_path / "run").exists()

@@ -148,13 +148,13 @@ def test_product_from_blocks():
 def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
     # every call of the band factorization and its solves sees one BLAS
     # thread, and the caller's thread count is back after the solve; on
-    # several segments the crossing trailing blocks and the carries between
-    # segments run as well
+    # several segments the crossing trailing blocks and the band products
+    # between segments run as well, one per boundary and direction
     get_threads = ctypes.CDLL(cython_lapack.__file__).scipy_openblas_get_num_threads
     get_threads.argtypes = []
     get_threads.restype = ctypes.c_int
     seen = []
-    routines = ("_dpotrf", "_dtrsm", "_dsyrk", "_dgemm", "_dtbsv", "_dgemv")
+    routines = ("_dpotrf", "_dtrsm", "_dsyrk", "_dgemm", "_dtbsv", "_dgbmv")
     for name in routines:
         def recording(*args, routine=getattr(linsolve, name), name=name):
             seen.append((name, get_threads()))
@@ -175,6 +175,8 @@ def test_band_cholesky_runs_on_one_blas_thread(monkeypatch):
             assert set(names) == called, num_vertices
             assert names[0] == "_dpotrf" and names[-1] == "_dtbsv"
             assert all(threads == 1 for _, threads in seen)
+            factorization = system._factorize
+            assert len(factorization._substitutions) == 4 * len(factorization.segments) - 2
     finally:
         linsolve._set_blas_threads(previous)
 
