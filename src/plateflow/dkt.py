@@ -21,11 +21,15 @@ between vertices i+1 and i+2, indices mod 3).  Local scalar DKT dofs are
 packed vertex-major: (value, d/dx1, d/dx2) for each vertex.
 
 The method uses the element through two operators, which
-`element_operators` forms once per mesh: the bending blocks G^T S G of the
-form ||grad theta||^2 (G the reconstruction, S the P2 stiffness) and the
-element-local discrete Laplacian div(theta) at the vertices.  The module
-also holds the dof vector of a deformation, its flat and interpolated
-initial states, and the vertex-lumped masses.
+`element_operators` forms once per mesh: the bending blocks G^T (S kron I_2) G
+of the form ||grad theta||^2 (G the reconstruction, S the P2 stiffness) and
+the element-local discrete Laplacian div(theta) at the vertices.  S is in
+closed form, one (F, 3) x (3, 36) product with constant reference matrices,
+and the bending blocks are two batched products.  The flow sums the blocks
+per vertex pair once (`linsolve.vertex_pair_blocks`), for both the bending
+stiffness and the step system.  The module also holds the dof vector of a
+deformation, its flat and interpolated initial states, and the vertex-lumped
+masses.
 """
 
 from __future__ import annotations
@@ -66,80 +70,74 @@ def p2_reference_gradients(bary) -> np.ndarray:
 def _inverse_transposes(coords):
     """inv(J)^T of the affine maps J of a stack of triangles, coords (F, 3, 2)."""
     areas, _ = check_triangles(coords)
-    J = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
-    inv_t = np.empty_like(J)
-    inv_t[:, 0, 0] = J[:, 1, 1]
-    inv_t[:, 0, 1] = -J[:, 1, 0]
-    inv_t[:, 1, 0] = -J[:, 0, 1]
-    inv_t[:, 1, 1] = J[:, 0, 0]
-    inv_t /= 2.0 * areas[:, None, None]
-    return inv_t
+    # J has the columns (a, b) and (c, d), so inv(J)^T = [[d, -b], [-c, a]] / det J
+    (a, b), (c, d) = (coords[:, 1] - coords[:, 0]).T, (coords[:, 2] - coords[:, 0]).T
+    inv_t = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
+    return inv_t / (2.0 * areas)[:, None, None]
 
 
 def p2_physical_gradients(coords, bary) -> np.ndarray:
     """Physical gradients of the P2 basis at barycentric points: (F, npts, 6, 2)."""
-    inv_t = _inverse_transposes(np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2))
-    ref = p2_reference_gradients(bary)
-    return np.einsum("fed,pnd->fpne", inv_t, ref)
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2)
+    inv_t = _inverse_transposes(coords)[:, None, None]   # (F, 1, 1, e, d)
+    ref = p2_reference_gradients(bary)[:, :, None, :]    # (npts, 6, 1, d)
+    return inv_t[..., 0] * ref[..., 0] + inv_t[..., 1] * ref[..., 1]
 
 
-def dkt_gradient_matrices(coords, vertex_ids=None) -> np.ndarray:
+def dkt_gradient_matrices(coords) -> np.ndarray:
     """Stacked 12x9 maps from local scalar DKT dofs to P2 nodal vector values.
 
     Row 2*node + component holds the reconstructed gradient component at that
-    P2 node.  When vertex_ids is given, edge tangents point from the lower to
-    the higher global vertex index so that shared edges are reconstructed
-    bit-identically from both sides.
+    P2 node.  Reversing an edge negates its tangent and normal exactly, which
+    leaves every entry unchanged, so a shared edge is reconstructed
+    bit-identically from both of its triangles.
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2)
-    nf = coords.shape[0]
     check_triangles(coords)
-    G = np.zeros((nf, 12, 9))
+    G = np.zeros((len(coords), 12, 9))
+    G[:, np.arange(6), [1, 2, 4, 5, 7, 8]] = 1.0
+    # edge node 3 + i as [triangle, i, component, vertex, kind]
+    edges = G[:, 6:].reshape(-1, 3, 2, 3, 3)
+    a, b = [1, 2, 0], [2, 0, 1]
+    d = coords[:, b] - coords[:, a]
+    length = np.linalg.norm(d, axis=2)
+    t = d / length[:, :, None]
+    n = np.stack([-t[:, :, 1], t[:, :, 0]], axis=2)
+    # value part: Hermite midpoint slope along the edge
+    slope = (1.5 / length)[:, :, None] * t
+    # gradient part: -1/4 t t^T from the Hermite slope, +1/2 n n^T from the
+    # endpoint average of normal derivatives
+    M = -0.25 * t[:, :, :, None] * t[:, :, None, :] + 0.5 * n[:, :, :, None] * n[:, :, None, :]
     for i in range(3):
-        G[:, 2 * i, 3 * i + 1] = 1.0
-        G[:, 2 * i + 1, 3 * i + 2] = 1.0
-
-    rows = np.arange(nf)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        a = np.full(nf, j, dtype=np.int64)
-        b = np.full(nf, k, dtype=np.int64)
-        if vertex_ids is not None:
-            ids = np.asarray(vertex_ids).reshape(-1, 3)
-            swap = ids[:, j] > ids[:, k]
-            a[swap], b[swap] = k, j
-        pa = coords[rows, a]
-        pb = coords[rows, b]
-        d = pb - pa
-        length = np.linalg.norm(d, axis=1)
-        t = d / length[:, None]
-        n = np.stack([-t[:, 1], t[:, 0]], axis=1)
-        # value part: Hermite midpoint slope along the edge
-        coef = 1.5 / length
-        # gradient part: -1/4 t t^T from the Hermite slope, +1/2 n n^T from
-        # the endpoint average of normal derivatives
-        M = -0.25 * t[:, :, None] * t[:, None, :] + 0.5 * n[:, :, None] * n[:, None, :]
-        r0 = 2 * (3 + i)
-        for c in range(2):
-            G[rows, r0 + c, 3 * a] = -coef * t[:, c]
-            G[rows, r0 + c, 3 * b] = coef * t[:, c]
-            for dcol in range(2):
-                G[rows, r0 + c, 3 * a + 1 + dcol] += M[:, c, dcol]
-                G[rows, r0 + c, 3 * b + 1 + dcol] += M[:, c, dcol]
+        edges[:, i, :, a[i], 0] = -slope[:, i]
+        edges[:, i, :, b[i], 0] = slope[:, i]
+        edges[:, i, :, a[i], 1:] = M[:, i]
+        edges[:, i, :, b[i], 1:] = M[:, i]
     return G
+
+
+# R_de = sum over the edge midpoints of g_d g_e^T, g_d the d-components of the
+# reference P2 gradients there; the rows R_00, R_01 + R_10, R_11, flattened,
+# hold small integers
+_R = np.einsum("pnd,pme->denm", *[p2_reference_gradients(P2_NODES_BARY[3:])] * 2)
+_P2_REFERENCE_STIFFNESS = np.stack([_R[0, 0], _R[0, 1] + _R[1, 0], _R[1, 1]]).reshape(3, 36)
 
 
 def p2_scalar_stiffness_matrices(coords) -> np.ndarray:
     """Stacked 6x6 matrices of integrals grad(N_i) . grad(N_j) over each triangle.
 
-    Uses the 3-edge-midpoint rule, which integrates the quadratic products
-    exactly.
+    The 3-edge-midpoint rule integrates the quadratic products exactly:
+    S = (|T|/3) sum_de (J^-1 J^-T)_de R_de, J the affine map of the triangle,
+    and J^-1 J^-T = adj(J^T J) / (4 |T|^2).  R_01 + R_10 enters as one
+    symmetric matrix, so S is symmetric bit for bit.
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2)
     areas, _ = check_triangles(coords)
-    grads = p2_physical_gradients(coords, P2_NODES_BARY[3:])  # (F, 3, 6, 2)
-    S = np.einsum("fpne,fpme->fnm", grads, grads) * (areas[:, None, None] / 3.0)
-    return S
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    adjugate = np.stack([(e2 * e2).sum(axis=1), -(e1 * e2).sum(axis=1),
+                         (e1 * e1).sum(axis=1)], axis=1)
+    return ((adjugate / (12.0 * areas)[:, None]) @ _P2_REFERENCE_STIFFNESS).reshape(-1, 6, 6)
 
 
 class DeformationField:
@@ -220,19 +218,19 @@ class ElementOperators:
 
 
 def element_operators(mesh: TriangleMesh) -> ElementOperators:
-    """The bending blocks K9 = sum_c Gc^T S Gc, with Gc the rows of the
-    theta-component c, and the Laplacian D = div(theta) at the vertices."""
+    """The bending blocks K9 = G^T (S kron I_2) G, with G the reconstruction
+    and S the P2 stiffness, in two batched products, and the Laplacian
+    D = div(theta) at the vertices."""
     coords = mesh.triangle_coords()
-    ids = mesh.triangles
-    G = dkt_gradient_matrices(coords, ids)
+    G = dkt_gradient_matrices(coords)
     S = p2_scalar_stiffness_matrices(coords)
-    Gc = G.reshape(-1, 6, 2, 9)
-    K9 = np.einsum("fnce,fnm,fmcd->fed", Gc, S, Gc, optimize=True)
-    grads = p2_physical_gradients(coords, P2_NODES_BARY[:3])
-    D = np.einsum("fpnc,fncd->fpd", grads, Gc)
-
-    base = 9 * ids  # (F, 3)
-    idx = np.empty((len(ids), 3, 9), dtype=np.int64)
-    for c in range(3):
-        idx[:, c] = (base[:, :, None] + 3 * c + np.arange(3)[None, None, :]).reshape(len(ids), 9)
+    # rows 2 n + c of G as [n, (c, dof)]: S acts on the node index alone
+    K9 = G.transpose(0, 2, 1) @ (S @ G.reshape(-1, 6, 18)).reshape(-1, 12, 9)
+    # one contracted index, summed in order: BLAS kernels fuse the
+    # multiply-adds and round D differently
+    grads = p2_physical_gradients(coords, P2_NODES_BARY[:3]).reshape(-1, 3, 12)
+    D = np.einsum("fpk,fkd->fpd", grads, G)
+    # dof 9 v + 3 c + k of local dof (c, 3 v + k)
+    idx = (9 * mesh.triangles[:, None, :, None] + 3 * np.arange(3)[:, None, None]
+           + np.arange(3)).reshape(-1, 3, 9)
     return ElementOperators(K9, D, triangle_areas(coords), idx)

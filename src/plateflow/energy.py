@@ -71,36 +71,36 @@ class SimulationParams:
         return self.mode == "penalized_flow"
 
 
-def assemble_bending_stiffness(mesh: TriangleMesh,
-                               ops: ElementOperators | None = None) -> sp.csr_matrix:
+def assemble_bending_stiffness(mesh: TriangleMesh, pairs=None) -> sp.csr_matrix:
     """Global symmetric matrix K with 1/2 y^T K y = 1/2 ||grad theta(y)||^2.
 
     K couples the dofs 9 i + 3 c + k and 9 j + 3 c + l of two vertices that
     share a triangle through entry (k, l) of the summed element block S_ij
-    of the pair, for each component c.  Its CSR pattern is written in sorted
-    order from the vertex pairs.
+    of the pair, for each component c.  The pairs are those of
+    `vertex_pair_blocks` on the element bending blocks, computed here unless
+    given.  The CSR pattern is written in sorted order from the pairs.
     """
-    if ops is None:
-        ops = element_operators(mesh)
+    if pairs is None:
+        pairs = vertex_pair_blocks(mesh.triangles, element_operators(mesh).bending)
     V = mesh.num_vertices
     # the pairs (i, j) sorted by column j, then row i, are the pairs (j, i)
     # sorted by row, then column, whose block is S_ij^T
-    cols, rows, blocks = vertex_pair_blocks(mesh.triangles, ops.bending, np.arange(V))
+    cols, rows, blocks = pairs
     num_pairs = len(rows)
     degree = np.bincount(rows, minlength=V)
     first = np.concatenate([[0], np.cumsum(degree)[:-1]])
     # row 9 v + 3 c + k holds three entries for each pair of v in turn
     indptr = np.append(27 * first[:, None] + 3 * degree[:, None] * np.arange(9),
                        27 * num_pairs)
-    starts = (indptr[:-1].reshape(V, 9)[rows]
-              + 3 * (np.arange(num_pairs) - first[rows])[:, None])
-    positions = starts[:, :, None] + np.arange(3)                 # (pairs, 3 c + k, l)
-    indices = np.empty(27 * num_pairs, dtype=np.int32)
-    indices[positions] = (9 * cols[:, None, None] + np.arange(0, 9, 3).repeat(3)[:, None]
-                          + np.arange(3))
-    data = np.empty(27 * num_pairs)
-    data[positions] = np.tile(blocks.transpose(0, 2, 1), (1, 3, 1))
-    return sp.csr_matrix((data, indices, indptr.astype(np.int32)),
+    # the triple of entries (l) of each (pair, 3 c + k), as rows of 3
+    triples = (indptr[:-1].reshape(V, 9)[rows] // 3
+               + (np.arange(num_pairs) - first[rows])[:, None])
+    indices = np.empty((9 * num_pairs, 3), dtype=np.int32)
+    indices[triples] = (9 * cols[:, None, None] + np.arange(0, 9, 3).repeat(3)[:, None]
+                        + np.arange(3))
+    data = np.empty((9 * num_pairs, 3))
+    data[triples] = np.tile(blocks.transpose(0, 2, 1), (1, 3, 1))
+    return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr.astype(np.int32)),
                          shape=(9 * V, 9 * V))
 
 

@@ -39,7 +39,7 @@ from . import energy as en
 from .constraints import ConstraintDegeneracyError, isometry_defect, tangent_basis
 from .dkt import DeformationField, element_operators, flat_embedding
 from .energy import SimulationParams
-from .linsolve import SaddleSolveError, TangentSystem
+from .linsolve import SaddleSolveError, TangentSystem, vertex_pair_blocks
 from .mesh import TriangleMesh
 
 MIN_BLOCK_SINGULAR_VALUE = 1e-3
@@ -124,14 +124,15 @@ class GradientFlow:
         self.mesh = mesh
         self.params = step_size_safeguard(params, mesh)
         self.ops = element_operators(mesh)
-        self.K = en.assemble_bending_stiffness(mesh, self.ops)
+        rows, cols, blocks = vertex_pair_blocks(mesh.triangles, self.ops.bending)
+        self.K = en.assemble_bending_stiffness(mesh, (rows, cols, blocks))
         # the step matrix (1 + tau) K_ff (+ tau/eps M3) in the tangent space
         value_diagonal = None
         if params.penalized:
             self._masses = en.vertex_lumped_masses(mesh)
             value_diagonal = np.zeros((mesh.num_vertices, 3))
             value_diagonal[:, 2] = (params.tau / params.eps_penalty) * self._masses
-        self.system = TangentSystem(mesh.triangles, (1.0 + params.tau) * self.ops.bending,
+        self.system = TangentSystem((rows, cols, (1.0 + params.tau) * blocks),
                                     mesh.free_vertices, value_diagonal)
         # free vertices in elimination order; their nine dofs each, in turn
         self.free_vertices = self.system.vertices

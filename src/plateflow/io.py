@@ -122,12 +122,21 @@ def save_field(field: DeformationField, path) -> None:
 
 
 def load_field(path) -> DeformationField:
+    """Read a checkpoint of `save_field`; a malformed one raises ValueError
+    `<path>:<line>: <cause>`, its row count checked against the header."""
     with open(path) as f:
-        head = f.readline().split()
-        if len(head) != 3 or head[0] != "dkt-field":
-            raise ValueError(f"{path}: not a field checkpoint")
-        nv = int(head[2])
-        rows = [[float(w) for w in f.readline().split()] for _ in range(nv)]
+        head, *lines = f.read().splitlines() or [""]
+    head = head.split()
+    if len(head) != 3 or head[:2] != ["dkt-field", "vertices"] or not head[2].isdigit():
+        raise ValueError(f"{path}:1: not a field checkpoint")
+    nv = int(head[2])
+    rows = [line.split() for line in lines[:nv]]
+    for number, row in enumerate(rows, start=2):
+        if len(row) != 9:
+            raise ValueError(f"{path}:{number}: expected 9 values, found {len(row)}")
+    if len(lines) != nv:
+        raise ValueError(f"{path}:{min(len(lines), nv) + 2}: expected {nv} rows after the "
+                         f"header, found {len(lines)}")
     return DeformationField(np.asarray(rows, dtype=np.float64).reshape(-1))
 
 

@@ -118,25 +118,18 @@ def _one_blas_thread(routine, *args, **kwargs):
         _set_blas_threads(previous)
 
 
-def vertex_pair_blocks(triangles, element_matrices, vertices):
-    """The pairs of `vertices` that share a triangle, and their summed blocks.
+def vertex_pair_blocks(triangles, element_matrices):
+    """The pairs of vertices that share a triangle, and their summed blocks.
 
-    Returns (rows, cols, blocks): the pairs (rows[p], cols[p]), as positions in
-    `vertices`, sorted by column, then row, and the 3x3 block S_p that the
-    element matrices (F x 9 x 9, local dof 3 * vertex + kind) give the pair:
-    entry (k, l) sums the entries (f, 3 a + k, 3 b + l) over the triangles f
-    with vertex rows[p] at a and cols[p] at b.  Pairs with a vertex that is
-    not listed are left out.
+    Returns (rows, cols, blocks): the pairs (rows[p], cols[p]) sorted by
+    column, then row, and the 3x3 block S_p that the element matrices
+    (F x 9 x 9, local dof 3 * vertex + kind) give the pair: entry (k, l) sums
+    the entries (f, 3 a + k, 3 b + l) over the triangles f with vertex
+    rows[p] at a and cols[p] at b, in the order of the triangles.
     """
-    n = len(vertices)
-    local = np.full(max(triangles.max(), vertices.max()) + 1, -1)
-    local[vertices] = np.arange(n)
-    tri = local[triangles]
-    # the vertex pair (tri[p], tri[q]) of each (triangle, p, q); pairs with a
-    # vertex that is not listed go to one extra key past the others
-    i = np.repeat(tri, 3, axis=1)
-    j = np.tile(tri, 3)
-    keys, pair_of = np.unique(np.where((i >= 0) & (j >= 0), j * n + i, n * n),
+    n = int(triangles.max()) + 1
+    # the vertex pair (triangles[f, p], triangles[f, q]) of each (f, p, q)
+    keys, pair_of = np.unique(np.tile(triangles, 3) * n + np.repeat(triangles, 3, axis=1),
                               return_inverse=True)
     # one bincount: entry (f, 3p + k, 3q + l) adds to entry (k, l) of the
     # pair of (f, p, q)
@@ -144,25 +137,16 @@ def vertex_pair_blocks(triangles, element_matrices, vertices):
               + np.arange(0, 9, 3)[:, None, None] + np.arange(3))
     blocks = np.bincount(target.reshape(-1), weights=element_matrices.reshape(-1),
                          minlength=9 * len(keys))
-    num_pairs = int(np.searchsorted(keys, n * n))
-    keys = keys[:num_pairs]
-    return keys % n, keys // n, blocks[:9 * num_pairs].reshape(-1, 3, 3)
-
-
-def _graph(rows, cols, n):
-    """A CSC matrix whose pattern is the graph with the edges
-    (rows[p], cols[p]), both ways round and including the diagonal."""
-    order = np.argsort(cols * n + rows)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    return sp.csc_matrix((np.ones(len(rows)), rows[order], indptr), shape=(n, n))
+    return keys % n, keys // n, blocks.reshape(-1, 3, 3)
 
 
 def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
-    """Position of each vertex in a reverse Cuthill-McKee order of the graph."""
-    order = reverse_cuthill_mckee(_graph(rows, cols, n), symmetric_mode=True)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return rank
+    """Position of each vertex in a reverse Cuthill-McKee order of the graph
+    with the edges (rows[p], cols[p]), both ways round and with the diagonal."""
+    order = np.argsort(cols * n + rows)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    graph = sp.csc_matrix((np.ones(len(rows)), rows[order], indptr), shape=(n, n))
+    return np.argsort(reverse_cuthill_mckee(graph, symmetric_mode=True))
 
 
 class _BandCholesky:
@@ -225,11 +209,13 @@ class _BandCholesky:
             if c + w - start > ld or c + w == N:
                 self.segments.append((start, c + w, ld))
                 start, ld = c + w, 0
-        sizes = [(end - start) * (ld + 1) for start, end, ld in self.segments]
-        self._store = np.empty(sum(sizes))  # each factorization zeroes it first
-        column_start = np.concatenate([
-            offset + (ld + 1) * np.arange(end - start)
-            for offset, (start, end, ld) in zip(np.cumsum([0, *sizes]), self.segments)])
+        start, end, ld = np.array(self.segments).T
+        sizes = (end - start) * (ld + 1)
+        self._store = np.empty(sizes.sum())  # each factorization zeroes it first
+        segment_of = np.repeat(np.arange(len(sizes)), end - start)  # of each column
+        height = (ld + 1)[segment_of]
+        column_start = ((np.cumsum(sizes) - sizes)[segment_of]
+                        + height * (np.arange(N) - start[segment_of]))
         # The entry (a, b) of the block of the pair (i, j) goes to column
         # 6 i + a at row 6 j + b, transposed into the lower triangle, when
         # i < j.  A diagonal block keeps its lower triangle in place, and its
@@ -237,8 +223,7 @@ class _BandCholesky:
         # left out.  The six columns of a vertex lie in one segment, as a
         # panel is a whole number of vertices wide, so column 6 i + a starts
         # a (ld + 1) entries after column 6 i.
-        height = np.repeat([ld + 1 for _, _, ld in self.segments],
-                           [end - start for start, end, _ in self.segments])[6 * rows]
+        height = height[6 * rows]
         vertex_start = column_start[6 * rows]
         d = int(np.count_nonzero(rows == cols))
         self._diagonal_entries = np.flatnonzero(_BLOCK_ROWS >= _BLOCK_COLS)
@@ -250,68 +235,70 @@ class _BandCholesky:
         self._positions = positions
         self._num_diagonal = d
 
-        # The arguments of the calls, by reference.  The addresses point into
-        # `_store` and the solution `_x`, which are never reallocated.
+        # The arguments of the calls, by reference: the integers, each value
+        # once in `_ints`, and entries of `_store` and the solution `_x`, never
+        # reallocated.  A row of addresses per panel and per segment, computed
+        # with numpy, becomes ctypes objects in one pass.
         self._x = np.empty(N)
         self._info = ctypes.c_int(0)
         info = ctypes.byref(self._info)
-        ints = {1: _ONE}
-
-        def int_ref(value):
-            if value not in ints:
-                ints[value] = ctypes.pointer(ctypes.c_int(value))
-            return ints[value]
-
+        k = np.searchsorted(start, first, side="right") - 1  # the segment of each panel
+        # the trailing block of a panel: rows and columns top to bottom - 1,
+        # of which those from split on lie in the next segment
+        top, bottom = first + width, first + width + below
+        split = np.minimum(np.maximum(top, end[k]), bottom)
+        # the rows end to end + ld - 1 of the last ld columns of a segment,
+        # an upper triangle in their band storage: kl = 0, ku = ld - 1
+        last = end - ld
+        self._ints, ints = np.unique(np.concatenate([
+            np.stack([width, ld[k], below, split - top, bottom - split,
+                      np.append(ld[1:], 0)[k]], axis=1),
+            np.stack([end - start, ld, ld + 1, np.minimum(ld, N - end), 0 * ld, ld - 1], axis=1),
+        ]).astype(np.intc), return_inverse=True)
+        # entry (i, j) of the dense views lies skew[j] + i entries into `_store`
+        skew = np.append(column_start - np.arange(N), 0)  # column N: in no call
+        i = np.stack([first, top, top, split, split, split], axis=1)
+        j = np.stack([first, first, top, first, top, split], axis=1)
         store, x, double = self._store.ctypes.data, self._x.ctypes.data, self._x.itemsize
-        column_start = column_start.tolist()
+        refs = list(map(ctypes.c_void_p, np.concatenate([
+            self._ints.ctypes.data + self._ints.itemsize * np.arange(len(self._ints)),
+            (store + double * (skew[j] + i)).ravel(),
+            np.stack([store + double * (skew[start] + start), x + double * start,
+                      store + double * (skew[last] + last + 1), x + double * last,
+                      x + double * end], axis=1).ravel()]).tolist()))
+        ints = zip(*[map(refs.__getitem__, ints.ravel().tolist())] * 6)
+        entries = iter(refs[len(self._ints):])
 
-        def at(i, j):
-            """Entry (i, j) of the dense views."""
-            return ctypes.c_void_p(store + double * (column_start[j] + i - j))
+        self._panels = []
+        for column, m, inner_rows, past_rows, (w_ref, ld_ref, m_ref, inner_ref, past_ref, next_ld),\
+                (diagonal, below_block, inner, rest, past_inner, past) in zip(
+                    first.tolist(), below.tolist(), (split - top).tolist(),
+                    (bottom - split).tolist(), ints, zip(*[entries] * 6)):
+            updates = []
+            if m:
+                updates.append((_dtrsm, (_RIGHT, _LOWER, _TRANSPOSE, _NO_TRANSPOSE, m_ref, w_ref,
+                                         _PLUS_ONE, diagonal, ld_ref, below_block, ld_ref)))
+            if inner_rows:
+                updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, inner_ref, w_ref, _MINUS_ONE,
+                                         below_block, ld_ref, _PLUS_ONE, inner, ld_ref)))
+            if past_rows and inner_rows:
+                updates.append((_dgemm, (_NO_TRANSPOSE, _TRANSPOSE, past_ref, inner_ref, w_ref,
+                                         _MINUS_ONE, rest, ld_ref, below_block, ld_ref, _PLUS_ONE,
+                                         past_inner, ld_ref)))
+            if past_rows:
+                updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, past_ref, w_ref, _MINUS_ONE, rest,
+                                         ld_ref, _PLUS_ONE, past, next_ld)))
+            self._panels.append((column, (_LOWER, w_ref, diagonal, ld_ref, info), updates))
 
-        def x_at(i):
-            return ctypes.c_void_p(x + double * i)
-
-        self._panels, forward, backward = [], [], []
-        panels = iter(self.plan)
-        for k, (start, end, ld) in enumerate(self.segments):
-            ld_ref = int_ref(ld)
-            for c, w, m in panels:
-                # the trailing block: rows and columns top to bottom - 1, of
-                # which those from split on lie in the next segment
-                top, bottom = c + w, c + w + m
-                split = min(max(top, end), bottom)
-                w_ref, diagonal, below = int_ref(w), at(c, c), at(top, c)
-                updates = []
-                if m:
-                    updates.append((_dtrsm, (_RIGHT, _LOWER, _TRANSPOSE, _NO_TRANSPOSE, int_ref(m),
-                                             w_ref, _PLUS_ONE, diagonal, ld_ref, below, ld_ref)))
-                if split > top:
-                    updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, int_ref(split - top), w_ref,
-                                             _MINUS_ONE, below, ld_ref, _PLUS_ONE, at(top, top),
-                                             ld_ref)))
-                if bottom > split:
-                    rest, rows_past = at(split, c), int_ref(bottom - split)
-                    if split > top:
-                        updates.append((_dgemm, (_NO_TRANSPOSE, _TRANSPOSE, rows_past,
-                                                 int_ref(split - top), w_ref, _MINUS_ONE, rest,
-                                                 ld_ref, below, ld_ref, _PLUS_ONE, at(split, top),
-                                                 ld_ref)))
-                    updates.append((_dsyrk, (_LOWER, _NO_TRANSPOSE, rows_past, w_ref, _MINUS_ONE,
-                                             rest, ld_ref, _PLUS_ONE, at(split, split),
-                                             int_ref(self.segments[k + 1][2]))))
-                self._panels.append((c, (_LOWER, w_ref, diagonal, ld_ref, info), updates))
-                if top == end:
-                    break
-            band = (int_ref(end - start), ld_ref, at(start, start), int_ref(ld + 1),
-                    x_at(start), _ONE)
+        forward, backward = [], []
+        for segment_end, (width_ref, ld_ref, band_ld, rows_past, zero, ku), \
+                (band_start, x_start, triangle, x_last, x_next) in zip(
+                    end.tolist(), ints, zip(*[entries] * 5)):
+            band = (width_ref, ld_ref, band_start, band_ld, x_start, _ONE)
             forward.append((_dtbsv, (_LOWER, _NO_TRANSPOSE, _NO_TRANSPOSE, *band)))
             backward.append((_dtbsv, (_LOWER, _TRANSPOSE, _NO_TRANSPOSE, *band)))
-            if end < N:
-                # rows end to end + ld - 1 of the last ld columns: kl = 0, ku = ld - 1
-                triangle = (int_ref(min(ld, N - end)), ld_ref, int_ref(0), int_ref(ld - 1),
-                            _MINUS_ONE, at(end - ld + 1, end - ld), int_ref(ld + 1))
-                x_last, x_next = x_at(end - ld), x_at(end)
+            if segment_end < N:
+                triangle = (rows_past, ld_ref, zero, ku, _MINUS_ONE, triangle, band_ld)
                 forward.append((_dgbmv, (_NO_TRANSPOSE, *triangle, x_last, _ONE, _PLUS_ONE,
                                          x_next, _ONE)))
                 backward.append((_dgbmv, (_TRANSPOSE, *triangle, x_next, _ONE, _PLUS_ONE,
@@ -353,10 +340,11 @@ class TangentSystem:
     construction.
 
     A is the matrix of the nine dofs per free vertex whose vertex-pair blocks
-    are kron(I_3, S_ij), with S_ij the sum of the 3x3 blocks that the element
-    matrices (F x 9 x 9, local dof 3 * vertex + kind) give the pair (i, j),
-    plus `value_diagonal[v, c]` on the value dof of component c of vertex v
-    (an array indexed by mesh vertex, or None).
+    are kron(I_3, S_ij), with S_ij the block of the pair (i, j) in `pairs`,
+    the (rows, cols, blocks) of the mesh's vertex pairs that
+    `vertex_pair_blocks` returns, plus `value_diagonal[v, c]` on the value dof
+    of component c of vertex v (an array indexed by mesh vertex, or None).
+    The pairs with a vertex that is not free are left out.
 
     `vertices` holds the free vertices in the elimination order chosen here;
     every per-vertex array passed to `assemble` and `solve` and every dof
@@ -365,10 +353,14 @@ class TangentSystem:
     on its envelope in it.
     """
 
-    def __init__(self, triangles, element_matrices, free_vertices,
-                 value_diagonal=None):
+    def __init__(self, pairs, free_vertices, value_diagonal=None):
         n = len(free_vertices)
-        rows, cols, blocks = vertex_pair_blocks(triangles, element_matrices, free_vertices)
+        rows, cols, blocks = pairs
+        local = np.full(max(cols.max(), free_vertices.max()) + 1, -1)
+        local[free_vertices] = np.arange(n)
+        rows, cols = local[rows], local[cols]
+        kept = (rows >= 0) & (cols >= 0)
+        rows, cols, blocks = rows[kept], cols[kept], blocks[kept]
 
         rank = _reverse_cuthill_mckee_rank(rows, cols, n)
         self.vertices = free_vertices[np.argsort(rank)]

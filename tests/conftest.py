@@ -183,6 +183,34 @@ class CubicEvaluator:
 
 
 # ---------------------------------------------------------------------------
+# the element operators as einsum contractions over the P2 gradients at the
+# quadrature points: the reference of the closed-form stiffness and of the
+# batched products in `dkt`
+
+def einsum_physical_gradients(coords, bary):
+    """Physical gradients of the P2 basis at barycentric points, (F, npts, 6, 2)."""
+    inv_t = dkt._inverse_transposes(coords)
+    return np.einsum("fed,pnd->fpne", inv_t, dkt.p2_reference_gradients(bary))
+
+
+def einsum_stiffness(coords):
+    """The P2 stiffness matrices by the 3-edge-midpoint rule, (F, 6, 6)."""
+    grads = einsum_physical_gradients(coords, dkt.P2_NODES_BARY[3:])
+    areas = pm.triangle_areas(coords)
+    return np.einsum("fpne,fpme->fnm", grads, grads) * (areas[:, None, None] / 3.0)
+
+
+def einsum_element_operators(mesh):
+    """The bending blocks sum_c Gc^T S Gc, Gc the rows of the theta-component
+    c, and the Laplacians D = div(theta) at the vertices."""
+    coords = mesh.triangle_coords()
+    Gc = dkt.dkt_gradient_matrices(coords).reshape(-1, 6, 2, 9)
+    K9 = np.einsum("fnce,fnm,fmcd->fed", Gc, einsum_stiffness(coords), Gc, optimize=True)
+    grads = einsum_physical_gradients(coords, dkt.P2_NODES_BARY[:3])
+    return K9, np.einsum("fpnc,fncd->fpd", grads, Gc)
+
+
+# ---------------------------------------------------------------------------
 # readers of the run files
 
 def read_history_csv(path):

@@ -92,7 +92,7 @@ def penalized_l2_run():
 @pytest.mark.acceptance
 def test_criterion_1_operator_exactness():
     mesh = pm.generate_rectangle_mesh(2, "symmetric")
-    G6 = dkt.dkt_gradient_matrices(mesh.triangle_coords(), mesh.triangles).reshape(-1, 6, 2, 9)
+    G6 = dkt.dkt_gradient_matrices(mesh.triangle_coords()).reshape(-1, 6, 2, 9)
     nodes = np.einsum("pn,fnd->fpd", dkt.P2_NODES_BARY, mesh.triangle_coords())
     indices = dkt.element_operators(mesh).scalar_dof_indices
     rng = np.random.default_rng(2024)

@@ -7,15 +7,16 @@ from plateflow.dkt import P2_NODES_BARY, flat_embedding, interpolate_dkt
 from plateflow.energy import SimulationParams, assemble_bending_stiffness
 from plateflow.flow import GradientFlow
 
-from conftest import (TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, discrete_lp_norm,
+from conftest import (EPS, TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, discrete_lp_norm,
+                      einsum_element_operators, einsum_physical_gradients, einsum_stiffness,
                       lumped_p1_integral, random_field)
 
 TRI = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.7]])
 
 
-def gradient_matrix(tri, vertex_ids=None):
+def gradient_matrix(tri):
     """12x9 discrete-gradient matrix of one triangle."""
-    return dkt.dkt_gradient_matrices(tri[None], vertex_ids)[0]
+    return dkt.dkt_gradient_matrices(tri[None])[0]
 
 
 def one_triangle_operators(tri):
@@ -72,11 +73,16 @@ def test_vertex_rows_select_nodal_gradients():
 
 
 def test_orientation_convention_is_irrelevant_for_values():
-    rng = np.random.default_rng(4)
-    dofs = rng.standard_normal(9)
-    t1 = gradient_matrix(TRI, vertex_ids=[0, 1, 2]) @ dofs
-    t2 = gradient_matrix(TRI, vertex_ids=[5, 4, 3]) @ dofs
-    assert np.allclose(t1, t2, atol=1e-13)
+    # the edge between vertices 1 and 2 of TRI runs 1 -> 2 in TRI and 2 -> 1
+    # in the triangle across it; the rows of its midpoint agree bit for bit
+    # on the dofs of the two endpoints, and vanish on the opposite vertex
+    across = np.array([TRI[2], TRI[1], TRI[1] + TRI[2] - TRI[0]])
+    here = gradient_matrix(TRI)[6:8]        # node 3, opposite vertex 0
+    there = gradient_matrix(across)[10:12]  # node 5, opposite vertex 2
+    assert np.array_equal(here[:, 3:6], there[:, 3:6])
+    assert np.array_equal(here[:, 6:9], there[:, 0:3])
+    assert not here[:, 0:3].any() and not there[:, 6:9].any()
+    assert here[:, 3:].any()
 
 
 def test_degenerate_triangle_rejected():
@@ -110,7 +116,7 @@ def test_global_reconstruction_matches_across_shared_edges(rect_l2):
     # identical when reconstructed from either adjacent element
     rng = np.random.default_rng(7)
     field = random_field(rect_l2, rng)
-    G = dkt.dkt_gradient_matrices(rect_l2.triangle_coords(), rect_l2.triangles)
+    G = dkt.dkt_gradient_matrices(rect_l2.triangle_coords())
     loc = field.dofs[dkt.element_operators(rect_l2).scalar_dof_indices]
     mids = {}
     for f, tri in enumerate(rect_l2.triangles):
@@ -166,6 +172,38 @@ def test_p2_stiffness_properties():
     assert ev.min() > -1e-12
     # kernel: the constant fields, which each component of theta sees alike
     assert np.abs(S @ np.ones(6)).max() < 1e-13
+
+
+@pytest.mark.parametrize("domain, pattern, moved", [
+    ("oshape", "symmetric", False), ("oshape", "nonsymmetric", False),
+    ("rectangle", "symmetric", False), ("rectangle", "nonsymmetric", False),
+    ("oshape", "nonsymmetric", True)],
+    ids=["oshape-symmetric", "oshape-nonsymmetric", "rectangle-symmetric",
+         "rectangle-nonsymmetric", "oshape-rotated-scaled"])
+def test_element_operators_match_einsum_reference(domain, pattern, moved):
+    # the closed-form stiffness and the batched products give the einsum
+    # contractions: D and the P2 gradients bit for bit, the bending blocks
+    # and the stiffness to within 1e-15 of each element's largest entry
+    generate = pm.generate_oshape_mesh if domain == "oshape" else pm.generate_rectangle_mesh
+    m = generate(2, pattern)
+    if moved:   # rotated by 0.3 and scaled by 1.7e-3
+        rotation = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        m = pm.build_edge_data(1.7e-3 * m.vertices @ rotation.T, m.triangles)
+    coords = m.triangle_coords()
+    ops = dkt.element_operators(m)
+    K9, D = einsum_element_operators(m)
+    assert np.array_equal(ops.divergence, D)
+    assert (np.abs(ops.bending - K9).max(axis=(1, 2))
+            <= 1e-15 * np.abs(K9).max(axis=(1, 2))).all()
+    bary = np.vstack([P2_NODES_BARY, TRI_QUAD_DEGREE5[0]])
+    assert np.array_equal(dkt.p2_physical_gradients(coords, bary),
+                          einsum_physical_gradients(coords, bary))
+    S, reference = dkt.p2_scalar_stiffness_matrices(coords), einsum_stiffness(coords)
+    assert (np.abs(S - reference).max(axis=(1, 2))
+            <= 1e-15 * np.abs(reference).max(axis=(1, 2))).all()
+    # symmetric bit for bit, and the constants in the kernel up to rounding
+    assert np.array_equal(S, S.transpose(0, 2, 1))
+    assert (np.abs(S.sum(axis=2)) <= 2 * EPS * np.abs(S).sum(axis=2)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +337,7 @@ def reconstruction_hessians(m, field, bary):
     """Gradient of the reconstructed quadratic field at barycentric points,
     shape (F, npts, 3 comps, 2, 2): rows d, columns e of d(theta_d)/dx_e."""
     loc = field.dofs[dkt.element_operators(m).scalar_dof_indices]
-    G6 = dkt.dkt_gradient_matrices(m.triangle_coords(), m.triangles).reshape(-1, 6, 2, 9)
+    G6 = dkt.dkt_gradient_matrices(m.triangle_coords()).reshape(-1, 6, 2, 9)
     theta_nodes = np.einsum("fnde,fce->fcnd", G6, loc)     # (F, c, 6, 2)
     dN = dkt.p2_physical_gradients(m.triangle_coords(), bary)  # (F, p, 6, 2)
     return np.einsum("fpne,fcnd->fpcde", dN, theta_nodes)
@@ -374,7 +412,7 @@ class SeminormKit:
         self.bending, self.dof_indices = ops.bending, ops.scalar_dof_indices
         self.areas = m.triangle_areas
         self.weights = self.areas[:, None] * self.wq        # (F, npts)
-        G6 = dkt.dkt_gradient_matrices(m.triangle_coords(), m.triangles).reshape(-1, 6, 2, 9)
+        G6 = dkt.dkt_gradient_matrices(m.triangle_coords()).reshape(-1, 6, 2, 9)
         # local dofs -> theta at the points, (F, npts * 2, 9)
         self.theta_map = np.einsum("pn,fned->fped", p2_values(bary), G6).reshape(
             m.num_triangles, -1, 9)

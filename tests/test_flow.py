@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky_banded
 
-from plateflow import linsolve, mesh as pm
+from plateflow import energy, flow as flow_module, linsolve, mesh as pm
 from plateflow.constraints import tangent_basis
 from plateflow.dkt import flat_embedding, vertex_lumped_masses
 from plateflow.energy import SimulationParams
@@ -195,6 +195,41 @@ def test_flow_orders_tangent_system(level):
     assert np.isfinite(y.dofs).all()
 
 
+@pytest.mark.parametrize("experiment", ["oshape", "obstacle"])
+def test_set_up_sums_the_vertex_pairs_once(monkeypatch, experiment):
+    # one pass over the element blocks feeds both K and the step system,
+    # whose pairs and blocks are those of a direct sum over the free
+    # vertices, triangle by triangle, scaled by 1 + tau, bit for bit
+    calls, pair_blocks = [], linsolve.vertex_pair_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return pair_blocks(*args)
+
+    for module in (linsolve, energy, flow_module):
+        monkeypatch.setattr(module, "vertex_pair_blocks", counted, raising=False)
+    run = resolve(RunConfig(experiment=experiment, level=1))
+    mesh, tau = run.mesh, run.params.tau
+    flow = GradientFlow(mesh, run.params)
+    assert len(calls) == 1
+
+    free = set(mesh.free_vertices.tolist())
+    direct = {}
+    for f, tri in enumerate(mesh.triangles.tolist()):
+        for a, i in enumerate(tri):
+            for b, j in enumerate(tri):
+                if i in free and j in free:
+                    block = flow.ops.bending[f, 3 * a:3 * a + 3, 3 * b:3 * b + 3]
+                    direct[i, j] = direct.get((i, j), 0.0) + block
+    system = flow.system
+    rank = {v: r for r, v in enumerate(system.vertices.tolist())}
+    expected = sorted((rank[i], rank[j]) for i, j in direct if rank[i] <= rank[j])
+    assert sorted(zip(system._rows.tolist(), system._cols.tolist())) == expected
+    vertices = system.vertices
+    for r, c, block in zip(system._rows, system._cols, system._blocks):
+        assert np.array_equal(block, (1.0 + tau) * direct[vertices[r], vertices[c]])
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 @pytest.mark.parametrize("experiment", ["oshape", "rectangle"])
 def test_envelope_factor_matches_dense_cholesky(experiment, level):
@@ -236,8 +271,9 @@ def test_factorization_chosen_from_the_pattern(experiment):
         mesh = run.mesh
         flow = GradientFlow(mesh, run.params)
         assert isinstance(flow.system._factorize, linsolve._BandCholesky), level
-        again = linsolve.TangentSystem(mesh.triangles.copy(),
-                                       (1.0 + run.params.tau) * flow.ops.bending.copy(),
+        rows, cols, blocks = linsolve.vertex_pair_blocks(mesh.triangles.copy(),
+                                                         flow.ops.bending.copy())
+        again = linsolve.TangentSystem((rows, cols, (1.0 + run.params.tau) * blocks),
                                        mesh.free_vertices.copy())
         assert isinstance(again._factorize, linsolve._BandCholesky)
         assert np.array_equal(again.vertices, flow.free_vertices)
@@ -251,7 +287,8 @@ def test_envelope_storage_is_smaller_than_the_band(level):
     # trailing block of a panel lies in its own segment and the next
     mesh = resolve(RunConfig(experiment="oshape", level=level)).mesh
     free = mesh.free_vertices
-    system = linsolve.TangentSystem(mesh.triangles, np.zeros((len(mesh.triangles), 9, 9)), free)
+    pairs = linsolve.vertex_pair_blocks(mesh.triangles, np.zeros((len(mesh.triangles), 9, 9)))
+    system = linsolve.TangentSystem(pairs, free)
     factorization = system._factorize
     segments = factorization.segments
     N = 6 * len(free)

@@ -299,14 +299,21 @@ def test_cli_invalid_usage(tmp_path, capsys):
     (["--experiment", "obstacle", "--cf", "nan"], None, "f must be finite"),
     (["--out="], None, r"cannot create output directory '': No such file"),
     (["--vtk-every", "-3"], None, "vtk_every must be nonnegative"),
+    (["--resume", "run.field"], "dkt-field vertices 144\n" + "0 0 0 0 0 0 0 0 0\n" * 50 + "0 0 0 0",
+     r"run\.field:52: expected 9 values, found 4"),
+    (["--resume", "run.field"], "dkt-field vertices 144\n" + "0 0 0 0 0 0 0 0\n" * 144,
+     r"run\.field:2: expected 9 values, found 8"),
+    (["--resume", "run.field"], "dkt-field vertices 144\n",
+     r"run\.field:2: expected 144 rows after the header, found 0"),
 ], ids=["tau", "eps-stop", "alpha", "max-iters", "file-level", "file-pattern",
         "missing-config", "missing-resume", "tau-inf", "force-nan", "empty-out",
-        "vtk-every"])
+        "vtk-every", "truncated-resume", "short-rows-resume", "header-only-resume"])
 def test_invalid_inputs_report_their_cause(tmp_path, capsys, monkeypatch, args, config, cause):
-    # each is refused with its cause and status 2 before any output is written
+    # each is refused with its cause and status 2 before any output is written;
+    # `config` is the text of the file that the last argument names
     monkeypatch.chdir(tmp_path)
     if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
+        (tmp_path / args[-1]).write_text(config)
     assert main(["--experiment", "oshape", "--level", "1", "--out", "run", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(cause, err), err

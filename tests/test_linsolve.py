@@ -7,7 +7,7 @@ from scipy.linalg import cython_lapack
 
 from plateflow import linsolve
 from plateflow.constraints import tangent_basis
-from plateflow.linsolve import SaddleSolveError, TangentSystem
+from plateflow.linsolve import SaddleSolveError, TangentSystem, vertex_pair_blocks
 
 from conftest import GRAD_DOFS, dense_basis, reduced_matrix, stored_lower
 
@@ -80,7 +80,8 @@ def random_case(rng, num_vertices, scale=1.0, value_diagonal=None):
     describes, and the kernel blocks and constraint rows of random gradients."""
     triangles = strip_triangles(rng, num_vertices)
     E = scale * random_element_matrices(rng, len(triangles))
-    system = TangentSystem(triangles, E, np.arange(1, num_vertices), value_diagonal)
+    system = TangentSystem(vertex_pair_blocks(triangles, E), np.arange(1, num_vertices),
+                           value_diagonal)
     A = dense_matrix(system, triangles, E, value_diagonal)
     grads = rng.standard_normal((num_vertices - 1, 3, 2))
     return system, A, tangent_basis(grads)[0], constraint_matrix(grads)
@@ -190,7 +191,7 @@ def test_unconstrained_identity():
     E = np.zeros((len(triangles), 9, 9))
     for f, tri in enumerate(triangles):
         E[f] = np.diag(np.repeat(1.0 / counts[tri], 3))
-    system = TangentSystem(triangles, E, np.arange(6))
+    system = TangentSystem(vertex_pair_blocks(triangles, E), np.arange(6))
     assert np.allclose(dense_matrix(system, triangles, E), np.eye(54), atol=1e-15)
     Q = tangent_basis(rng.standard_normal((6, 3, 2)))[0]
     rhs = dense_basis(Q) @ rng.standard_normal(36)
@@ -219,7 +220,7 @@ def test_singular_direction_removed_by_constraint():
     d2 = np.arange(2, 9, 3)
     E[:, d2, :] = 0.0
     E[:, :, d2] = 0.0
-    system = TangentSystem(triangles, E, np.arange(5))
+    system = TangentSystem(vertex_pair_blocks(triangles, E), np.arange(5))
     A = dense_matrix(system, triangles, E)
     assert np.linalg.matrix_rank(A) == 30
     Q = np.zeros((5, 3, 2, 3))
@@ -308,8 +309,8 @@ def test_deterministic_resolve():
         free = np.arange(1, num_vertices)
         Q = tangent_basis(rng.standard_normal((len(free), 3, 2)))[0]
         rhs = rng.standard_normal(9 * len(free))
-        first = TangentSystem(triangles, E, free)
-        second = TangentSystem(triangles.copy(), E.copy(), free.copy())
+        first = TangentSystem(vertex_pair_blocks(triangles, E), free)
+        second = TangentSystem(vertex_pair_blocks(triangles.copy(), E.copy()), free.copy())
         d1 = first.solve(Q, rhs)
         assert np.array_equal(d1, first.solve(Q.copy(), rhs.copy())), num_vertices
         assert np.array_equal(d1, second.solve(Q.copy(), rhs.copy())), num_vertices
@@ -320,7 +321,8 @@ def test_singular_system_raises():
     # the matrix, counted from 1 across its panels
     rng = np.random.default_rng(103)
     triangles = strip_triangles(rng, 4)
-    system = TangentSystem(triangles, np.zeros((len(triangles), 9, 9)), np.arange(4))
+    system = TangentSystem(vertex_pair_blocks(triangles, np.zeros((len(triangles), 9, 9))),
+                           np.arange(4))
     with pytest.raises(SaddleSolveError) as failure:
         system.solve(tangent_basis(rng.standard_normal((4, 3, 2)))[0], np.ones(36))
     column, N = map(int, re.search(r"column (\d+) of (\d+)", str(failure.value)).groups())
