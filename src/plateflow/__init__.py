@@ -8,14 +8,13 @@ convex-concave penalty.
 """
 
 from .constraints import apply_dirichlet, isometry_defect, tangent_basis
-from .dkt import DeformationField, flat_embedding, interpolate_dkt
+from .dkt import DeformationField, flat_embedding
 from .energy import (SimulationParams, assemble_bending_stiffness, curvature_terms,
-                     penalty_terms, total_energy)
-from .flow import GradientFlow, RunReport, run_flow, step_size_safeguard
+                     penalty_terms)
+from .flow import GradientFlow, RunReport, step_size_safeguard
 from .linsolve import TangentSystem
 from .mesh import (TriangleMesh, build_edge_data, generate_oshape_mesh,
-                   generate_rectangle_mesh, load_mesh, save_mesh,
-                   tag_dirichlet_boundary)
+                   generate_rectangle_mesh, save_mesh, tag_dirichlet_boundary)
 from .presets import PRESETS, RunConfig, resolve
 
 __version__ = "0.1.0"
@@ -25,8 +24,6 @@ __all__ = [
     "RunReport", "SimulationParams", "TangentSystem", "TriangleMesh",
     "apply_dirichlet", "assemble_bending_stiffness", "build_edge_data",
     "curvature_terms", "flat_embedding", "generate_oshape_mesh",
-    "generate_rectangle_mesh", "interpolate_dkt",
-    "isometry_defect", "load_mesh", "penalty_terms", "resolve", "run_flow",
+    "generate_rectangle_mesh", "isometry_defect", "penalty_terms", "resolve",
     "save_mesh", "step_size_safeguard", "tag_dirichlet_boundary", "tangent_basis",
-    "total_energy",
 ]

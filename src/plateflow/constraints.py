@@ -103,7 +103,7 @@ def isometry_defect(field: DeformationField) -> float:
 def nodal_isometry_defects(field: DeformationField) -> np.ndarray:
     """Per-vertex Frobenius norm of the nodal isometry defect, shape (V,):
     sqrt((|a1|^2 - 1)^2 + 2 (a1 . a2)^2 + (|a2|^2 - 1)^2), summed in the
-    row order of the 2x2 defect matrix."""
+    row order of the 2-by-2 defect matrix."""
     g = field.gradients()
     a1, a2 = g[:, :, 0], g[:, :, 1]
     p = (a1 * a1).sum(axis=1) - 1.0
@@ -113,7 +113,7 @@ def nodal_isometry_defects(field: DeformationField) -> np.ndarray:
 
 
 def apply_dirichlet(field: DeformationField, mesh: TriangleMesh) -> DeformationField:
-    """Clamp the dofs of the Dirichlet vertices flat, y_D = (x1, x2, 0) and
+    """Clamp the dofs of the Dirichlet vertices flat, y_D = (x_1, x_2, 0) and
     grad y_D = [I2; 0]: the clamp of the benchmarks."""
     out = field.copy()
     verts = mesh.dirichlet_vertices

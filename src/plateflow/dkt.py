@@ -18,7 +18,7 @@ The reconstruction is exact for quadratic polynomials.
 P2 Lagrange node ordering on an element: vertices 0, 1, 2 first, then the
 midpoint of the edge opposite each vertex (node 3 + i sits on the edge
 between vertices i+1 and i+2, indices mod 3).  Local scalar DKT dofs are
-packed vertex-major: (value, d/dx1, d/dx2) for each vertex.
+packed vertex-major: (value, d/dx_1, d/dx_2) for each vertex.
 
 The method uses the element through two operators, which
 `element_operators` forms once per mesh: the bending blocks G^T (S kron I_2) G
@@ -28,8 +28,7 @@ closed form, one (F, 3) x (3, 36) product with constant reference matrices,
 and the bending blocks are two batched products.  The flow sums the blocks
 per vertex pair once (`linsolve.vertex_pair_blocks`), for both the bending
 stiffness and the step system.  The module also holds the dof vector of a
-deformation, its flat and interpolated initial states, and the vertex-lumped
-masses.
+deformation, its flat initial state, and the vertex-lumped masses.
 """
 
 from __future__ import annotations
@@ -172,25 +171,13 @@ class DeformationField:
 
 
 def flat_embedding(mesh: TriangleMesh) -> DeformationField:
-    """The identity embedding y = (x1, x2, 0): the canonical flat initial state."""
+    """The identity embedding y = (x_1, x_2, 0): the canonical flat initial state."""
     V = mesh.num_vertices
     dofs = np.zeros((V, 3, 3))
     dofs[:, 0, 0] = mesh.vertices[:, 0]
     dofs[:, 1, 0] = mesh.vertices[:, 1]
     dofs[:, 0, 1] = 1.0
     dofs[:, 1, 2] = 1.0
-    return DeformationField(dofs.reshape(-1))
-
-
-def interpolate_dkt(mesh: TriangleMesh, y, grad_y) -> DeformationField:
-    """Nodal interpolation: values y(z) and gradients grad_y(z) become the dofs.
-
-    y maps (N, 2) -> (N, 3); grad_y maps (N, 2) -> (N, 3, 2).
-    """
-    pts = mesh.vertices
-    vals = np.asarray(y(pts), dtype=np.float64).reshape(-1, 3)
-    grads = np.asarray(grad_y(pts), dtype=np.float64).reshape(-1, 3, 2)
-    dofs = np.concatenate([vals[:, :, None], grads], axis=2)
     return DeformationField(dofs.reshape(-1))
 
 

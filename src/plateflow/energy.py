@@ -6,9 +6,9 @@ The energy of a deformation y is
            -  L{ f . y },
 
 where theta is the reconstructed quadratic gradient, lap_h the element-local
-discrete Laplacian, and L the vertex-lumped integral.  In obstacle mode the
-penalty (1/2 eps) L{ (y3 - g)_+^2 } is added; its integrand splits into a
-convex part s^2 and a concave part treated explicitly in the flow.
+discrete Laplacian, and L the vertex-lumped integral.  The obstacle flow adds
+the penalty (1/2 eps) L{ (y3 - g)_+^2 }; its integrand splits into a convex
+part s^2 and a concave part treated explicitly in the flow.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .dkt import DeformationField, ElementOperators, element_operators, vertex_l
 from .linsolve import vertex_pair_blocks
 from .mesh import TriangleMesh
 
-MODES = ("isometry_flow", "penalized_flow")
-
 ForceLike = Union[None, np.ndarray, tuple, list]
 
 
@@ -36,10 +34,13 @@ class SimulationParams:
     alpha      spontaneous-curvature mismatch (1/length)
     tau        pseudo-time step
     eps_stop   termination threshold on the update norm ||grad theta(d_t y)||
-    eps_penalty  obstacle penalty parameter (penalized mode only)
+    eps_penalty  obstacle penalty parameter, positive and finite: given, the
+               flow is the penalized obstacle flow (`penalized`); None, it is
+               the isometry flow
     f          body force: None, a constant 3-vector, or one 3-vector per
                vertex, shape (V, 3)
     obstacle_height  height of the flat obstacle plane (1.0 in the benchmarks)
+    max_iters  the most steps a run takes
     """
 
     alpha: float = 0.0
@@ -48,12 +49,9 @@ class SimulationParams:
     eps_penalty: Optional[float] = None
     f: ForceLike = None
     obstacle_height: float = 1.0
-    mode: str = "isometry_flow"
     max_iters: int = 500_000
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         for name in ("tau", "eps_stop"):
             if not (0 < getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be positive and finite")
@@ -63,12 +61,12 @@ class SimulationParams:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
-        if self.mode == "penalized_flow" and not (0 < (self.eps_penalty or 0) < np.inf):
-            raise ValueError("penalized mode requires a finite eps_penalty > 0")
+        if self.penalized and not (0 < self.eps_penalty < np.inf):
+            raise ValueError("eps_penalty must be positive and finite")
 
     @property
     def penalized(self) -> bool:
-        return self.mode == "penalized_flow"
+        return self.eps_penalty is not None
 
 
 def assemble_bending_stiffness(mesh: TriangleMesh, pairs=None) -> sp.csr_matrix:
@@ -150,34 +148,10 @@ def force_rhs(mesh: TriangleMesh, f: ForceLike) -> np.ndarray:
     return r.reshape(-1)
 
 
-def total_energy(mesh: TriangleMesh, field: DeformationField, params: SimulationParams,
-                 K: sp.spmatrix | None = None, ops: ElementOperators | None = None) -> float:
-    """The discrete energy E[y] (excluding any obstacle penalty).
-
-    Note: the constant alpha^2 |omega| of the continuous functional is not
-    included, so flat states have energy zero and bent equilibria can be
-    negative.  In floating point a flat state's energy is zero only up to
-    rounding of order eps times the magnitude of the bending quadratic form,
-    1/2 sum_f |loc_f|^T |B_f| |loc_f|: the terms cancel exactly only in exact
-    arithmetic.
-    """
-    if K is not None:
-        bend = 0.5 * float(field.dofs @ (K @ field.dofs))
-    else:
-        if ops is None:
-            ops = element_operators(mesh)
-        loc = field.dofs[ops.scalar_dof_indices]
-        bend = 0.5 * float(np.einsum("fcl,flm,fcm->", loc, ops.bending, loc))
-    e = bend - curvature_terms(mesh, field, params.alpha, ops)[0]
-    if params.f is not None:
-        e -= float(force_rhs(mesh, params.f) @ field.dofs)
-    return e
-
-
 # ---------------------------------------------------------------------------
 # obstacle penalty
 
-def penalty_terms(y3: np.ndarray, eps: float, masses: np.ndarray, height: float = 1.0):
+def penalty_terms(y3: np.ndarray, eps: float, masses: np.ndarray, height: float):
     """The obstacle penalty at the heights y3 of the vertices, from one pass.
 
     Returns the energy (1/2 eps) L{ (y3 - height)_+^2 }, the penetration

@@ -8,7 +8,7 @@ per-vertex rotation basis at the previous iterate (see
     Z^T ((1 + tau) K (+ tau/eps M3)) Z u = Z^T (-K y + r_nl(y) + r_f (+ r_pen(y)))
 
 and updates y <- y + tau d.  K is the bending stiffness (assembled once), r_nl
-the explicitly treated spontaneous-curvature terms, and in obstacle mode
+the explicitly treated spontaneous-curvature terms, and in the obstacle flow
 M3/r_pen the implicit convex and explicit concave parts of the penalty (M3 the
 lumped mass on the third-component values).  The reduced matrix is symmetric
 positive definite, so a step is one sparse SPD solve.  Its pattern is the same
@@ -21,16 +21,17 @@ into the storage of its envelope and factors it there on one BLAS thread,
 with a blocked Cholesky whose panels update only the rows their envelope
 reaches.  A step computes the basis and the degeneracy check
 in one pass over the nodal frames, then the blocks, and factors.  The new
-iterate is then evaluated once (`GradientFlow._evaluate`): its energies, and
-r_nl + r_pen, which the next step takes as its explicit data.  The iteration
-stops when ||grad theta(d_t y)|| drops below eps_stop.
+iterate is then evaluated once, into its state (`GradientFlow._evaluate`):
+its energies, its defects, and r_nl + r_pen, which the next step takes as its
+explicit data.  The iteration stops when ||grad theta(d_t y)|| drops below
+eps_stop.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +53,7 @@ class StepSizeWarning(UserWarning):
 @dataclass
 class HistoryRecord:
     k: int
-    energy: float          # Lyapunov value: E (+ penalty in penalized mode)
+    energy: float          # Lyapunov value: E (+ penalty in the obstacle flow)
     penalty_energy: float
     delta_iso: float
     delta_pen: float
@@ -68,12 +69,12 @@ class FlowState:
     delta_iso: float
     delta_pen: float
     update_norm: float
-    history: list = dataclass_field(default_factory=list)
-    constraint_residual: float = 0.0
+    history: list
+    constraint_residual: float
     # cached at y, reused as the explicit data of the next step: K y and the
     # explicit right-hand side r_nl(y) (+ r_pen(y))
-    Ky: Optional[np.ndarray] = None
-    explicit_rhs: Optional[np.ndarray] = None
+    Ky: np.ndarray
+    explicit_rhs: np.ndarray
 
 
 @dataclass
@@ -141,12 +142,13 @@ class GradientFlow:
 
     # -- state bookkeeping ---------------------------------------------------
 
-    def _evaluate(self, y: DeformationField, Ky: np.ndarray):
-        """Everything a step needs of the iterate y, from one pass over it.
+    def _evaluate(self, k: int, y: DeformationField, Ky: np.ndarray, update_norm: float,
+                  residual: float, history: list) -> FlowState:
+        """The state at the iterate y, from one pass over it.
 
-        Returns (E, penalty energy, penetration, explicit rhs): E from the
-        cached K y, the spontaneous-curvature term and the force; the explicit
-        rhs r_nl(y) (+ r_pen(y)) of the step from y.  For alpha = 0 the
+        Its Lyapunov value E (+ penalty) takes E from the cached K y, the
+        spontaneous-curvature term and the force; its explicit rhs
+        r_nl(y) (+ r_pen(y)) is the next step's data.  For alpha = 0 the
         curvature terms vanish identically and are not evaluated.
         """
         p = self.params
@@ -163,17 +165,16 @@ class GradientFlow:
             pen, dpen, r3 = en.penalty_terms(y.dofs[6::9], p.eps_penalty, self._masses,
                                              p.obstacle_height)
             rhs[6::9] += r3
-        return e, pen, dpen, rhs
+        return FlowState(k=k, y=y, energy=e + pen, penalty_energy=pen,
+                         delta_iso=isometry_defect(y), delta_pen=dpen,
+                         update_norm=update_norm, history=history,
+                         constraint_residual=residual, Ky=Ky, explicit_rhs=rhs)
 
     def initial_state(self, y0: DeformationField | None = None) -> FlowState:
         y = y0 if y0 is not None else flat_embedding(self.mesh)
         if y.dofs.size != 9 * self.mesh.num_vertices:
             raise ValueError("initial field does not match the mesh")
-        Ky = self.K @ y.dofs
-        e, pen, dpen, rhs = self._evaluate(y, Ky)
-        return FlowState(k=0, y=y, energy=e + pen, penalty_energy=pen,
-                         delta_iso=isometry_defect(y), delta_pen=dpen,
-                         update_norm=np.inf, Ky=Ky, explicit_rhs=rhs)
+        return self._evaluate(0, y, self.K @ y.dofs, np.inf, 0.0, [])
 
     # -- one pseudo-time step -------------------------------------------------
 
@@ -203,14 +204,8 @@ class GradientFlow:
 
         Kd = self.K @ d
         update_norm = float(np.sqrt(max(d @ Kd, 0.0)))
-        y_new = DeformationField(y.dofs + p.tau * d)
-        Ky_new = state.Ky + p.tau * Kd
-        e, pen, dpen, rhs_new = self._evaluate(y_new, Ky_new)
-        new = FlowState(
-            k=state.k + 1, y=y_new, energy=e + pen, penalty_energy=pen,
-            delta_iso=isometry_defect(y_new), delta_pen=dpen,
-            update_norm=update_norm, history=state.history,
-            constraint_residual=residual, Ky=Ky_new, explicit_rhs=rhs_new)
+        new = self._evaluate(state.k + 1, DeformationField(y.dofs + p.tau * d),
+                             state.Ky + p.tau * Kd, update_norm, residual, state.history)
         new.history.append(HistoryRecord(new.k, new.energy, new.penalty_energy,
                                          new.delta_iso, new.delta_pen, new.update_norm))
         return new
@@ -218,9 +213,9 @@ class GradientFlow:
     # -- full iteration --------------------------------------------------------
 
     def run(self, y0: DeformationField | None = None,
-            max_iters: int | None = None,
             on_step: Optional[Callable[[FlowState], None]] = None):
-        """Iterate until the update norm drops below eps_stop.
+        """Iterate until the update norm drops below eps_stop, for at most
+        params.max_iters steps.
 
         Returns (report, final_state).  Solver failures and constraint
         degeneracy terminate the run with the matching reason instead of
@@ -229,9 +224,8 @@ class GradientFlow:
         t0 = time.perf_counter()
         state = self.initial_state(y0)
         initial_energy = state.energy
-        limit = self.params.max_iters if max_iters is None else max_iters
         reason, detail = "max_iters", ""
-        for _ in range(limit):
+        for _ in range(self.params.max_iters):
             try:
                 state = self.step(state)
             except SaddleSolveError as exc:
@@ -255,10 +249,3 @@ class GradientFlow:
             mismatch_constant=self.params.alpha**2 * self.mesh.domain_area,
             termination_detail=detail)
         return report, state
-
-
-def run_flow(mesh: TriangleMesh, params: SimulationParams,
-             y0: DeformationField | None = None,
-             on_step=None):
-    """Convenience wrapper: assemble, iterate, report."""
-    return GradientFlow(mesh, params).run(y0, on_step=on_step)

@@ -3,8 +3,10 @@
 Every writer is plain text so runs stay diffable and inspectable without
 tooling.  Values carry at least nine significant digits.  The history is
 written row by row while the flow runs (`HistoryCsvWriter`); the surfaces,
-the report, the checkpoint and the rear-edge trace are written once.  Field
-checkpoints are the only files read back, by `--resume`.
+the report, the checkpoint and the rear-edge trace are written once.  The
+surfaces take the obstacle height of the run's parameters, and the trace
+follows the rear edge x_2 = 2 of the benchmark domains.  Field checkpoints
+are the only files read back, by `--resume`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .constraints import nodal_isometry_defects
 from .dkt import DeformationField
 from .flow import HistoryRecord, RunReport
-from .mesh import TriangleMesh
+from .mesh import RECTANGLE_BOUNDS, TriangleMesh
 
 HISTORY_HEADER = "iter,energy,penalty_energy,delta_iso,delta_pen,update_norm"
 FLUSH_EVERY = 100   # history rows between flushes
@@ -55,7 +57,7 @@ class HistoryCsvWriter:
 
 
 def write_vtk_surface(field: DeformationField, mesh: TriangleMesh, path,
-                      obstacle_height: float = 1.0, title: str = "deformed plate") -> None:
+                      obstacle_height: float) -> None:
     """Legacy ASCII VTK unstructured grid of the deformed surface.
 
     Points are the nodal positions; point data carry the nodal isometry-defect
@@ -68,7 +70,7 @@ def write_vtk_surface(field: DeformationField, mesh: TriangleMesh, path,
     nt = mesh.num_triangles
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
-        f.write(title + "\n")
+        f.write("deformed plate\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {nv} double\n")
@@ -140,11 +142,10 @@ def load_field(path) -> DeformationField:
     return DeformationField(np.asarray(rows, dtype=np.float64).reshape(-1))
 
 
-def write_rear_edge_trace(mesh: TriangleMesh, field: DeformationField, path,
-                          x2: float = 2.0) -> None:
-    """Deformed positions along the boundary line x2 = const (the rear edge),
-    sorted by reference x1: columns x_ref, y_1, y_3."""
-    on_line = np.isclose(mesh.vertices[:, 1], x2)
+def write_rear_edge_trace(mesh: TriangleMesh, field: DeformationField, path) -> None:
+    """Deformed positions along the rear edge, the boundary line x_2 = 2 of the
+    benchmark domains, sorted by reference x_1: columns x_ref, y_1, y_3."""
+    on_line = np.isclose(mesh.vertices[:, 1], RECTANGLE_BOUNDS[3])
     idx = np.flatnonzero(on_line)
     idx = idx[np.argsort(mesh.vertices[idx, 0])]
     pos = field.positions()

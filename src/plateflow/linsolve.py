@@ -146,7 +146,7 @@ def _reverse_cuthill_mckee_rank(rows, cols, n) -> np.ndarray:
     order = np.argsort(cols * n + rows)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
     graph = sp.csc_matrix((np.ones(len(rows)), rows[order], indptr), shape=(n, n))
-    return np.argsort(reverse_cuthill_mckee(graph, symmetric_mode=True))
+    return np.argsort(reverse_cuthill_mckee(graph, True))     # the graph is symmetric
 
 
 class _BandCholesky:

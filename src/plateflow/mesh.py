@@ -3,14 +3,17 @@
 All meshes are built from axis-aligned squares of side h = 2**-level that are
 halved along a diagonal.  The "nonsymmetric" pattern uses the same diagonal
 everywhere; the "symmetric" pattern alternates diagonals so that each block of
-2x2 cells is cut along the symmetry lines of the enclosing 2h-square.  Vertex
-indexing is lexicographic in (x2, x1) and edge indexing lexicographic in the
-vertex pair (lo, hi), which makes generation fully deterministic.
+2-by-2 cells is cut along the symmetry lines of the enclosing 2h-square.
+Vertex indexing is lexicographic in (x_2, x_1) and edge indexing
+lexicographic in the vertex pair (lo, hi), which makes generation fully
+deterministic.
 
 A mesh carries what the program reads: its edges, which of them lie on the
 boundary and which are clamped, the clamped and free vertices, and the
 extreme triangle diameters.  `check_triangles` is the one rule by which
 degenerate or clockwise triangles are rejected, by meshes and elements alike.
+Meshes are generated, never read from a file: `save_mesh` writes the mesh of
+a run as a plain-text record for inspection.
 """
 
 from __future__ import annotations
@@ -121,12 +124,13 @@ def check_triangles(coords):
     return areas, diam
 
 
-def build_edge_data(vertices, triangles, dirichlet_pairs=()) -> TriangleMesh:
-    """Assemble a TriangleMesh (edges, boundary, clamped edges) from raw cells.
+def build_edge_data(vertices, triangles) -> TriangleMesh:
+    """Assemble a TriangleMesh (edges, boundary) from raw cells, with no edge
+    clamped; `tag_dirichlet_boundary` clamps them.
 
     Rejects nonconforming connectivity: every edge must be shared by one or
-    two triangles, every triangle must be counterclockwise and nondegenerate,
-    and every clamped edge must lie on the boundary.
+    two triangles, and every triangle must be counterclockwise and
+    nondegenerate.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -143,22 +147,9 @@ def build_edge_data(vertices, triangles, dirichlet_pairs=()) -> TriangleMesh:
         bad = edges[counts > 2][0]
         raise MeshError(f"edge {tuple(bad)} is shared by more than two triangles")
     boundary = counts == 1
-
-    dirichlet = np.zeros(len(edges), dtype=bool)
-    if len(dirichlet_pairs):
-        want = np.sort(np.asarray(dirichlet_pairs, dtype=np.int64), axis=1)
-        keys = {tuple(e): i for i, e in enumerate(edges)}
-        for pair in want:
-            idx = keys.get(tuple(pair))
-            if idx is None:
-                raise MeshError(f"dirichlet edge {tuple(pair)} is not a mesh edge")
-            if not boundary[idx]:
-                raise MeshError(f"dirichlet edge {tuple(pair)} is interior")
-            dirichlet[idx] = True
-
     return TriangleMesh(
         vertices=vertices, triangles=triangles, edges=edges,
-        boundary_edges=boundary, dirichlet_edges=dirichlet,
+        boundary_edges=boundary, dirichlet_edges=np.zeros(len(edges), dtype=bool),
         h_max=float(diam.max()), h_min=float(diam.min()))
 
 
@@ -186,7 +177,7 @@ def _structured_cells(level: int, bounds, pattern: str, hole=None):
         for di in (0, 1):
             used[dj:dj + ny, di:di + nx] |= keep
 
-    # lexicographic in (x2, x1)
+    # lexicographic in (x_2, x_1)
     index = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
     index[used] = np.arange(used.sum())
     vj, vi = np.nonzero(used)
@@ -254,7 +245,9 @@ def tag_dirichlet_boundary(mesh: TriangleMesh, segments) -> TriangleMesh:
 
 
 def save_mesh(mesh: TriangleMesh, path) -> None:
-    """Plain-text persistence: header, vertices, triangles, tagged edges."""
+    """Plain-text record of the mesh a run used: a header, the vertices at
+    full precision, the triangles, and the clamped edges.  The program writes
+    it and never reads it back."""
     with open(path, "w") as f:
         f.write(f"vertices {mesh.num_vertices} triangles {mesh.num_triangles}\n")
         for x, y in mesh.vertices:
@@ -266,18 +259,3 @@ def save_mesh(mesh: TriangleMesh, path) -> None:
         for e in tagged:
             a, b = mesh.edges[e]
             f.write(f"{a} {b}\n")
-
-
-def load_mesh(path) -> TriangleMesh:
-    with open(path) as f:
-        head = f.readline().split()
-        if len(head) != 4 or head[0] != "vertices" or head[2] != "triangles":
-            raise MeshError(f"{path}: not a mesh file")
-        nv, nt = int(head[1]), int(head[3])
-        verts = np.array([[float(w) for w in f.readline().split()] for _ in range(nv)])
-        tris = np.array([[int(w) for w in f.readline().split()] for _ in range(nt)], dtype=np.int64)
-        head = f.readline().split()
-        if len(head) != 2 or head[0] != "dirichlet_edges":
-            raise MeshError(f"{path}: missing dirichlet_edges section")
-        pairs = [tuple(int(w) for w in f.readline().split()) for _ in range(int(head[1]))]
-    return build_edge_data(verts, tris, dirichlet_pairs=pairs)

@@ -7,7 +7,8 @@ Three presets mirror the published benchmark setups:
   oshape     frame plate (-5,5)x(-2,2) minus [-4,4]x[-1,1], clamped along the
              two unit segments at the lower-left corner, alpha = 0.5, tau = h/5.
   obstacle   the O-shape pressed by a constant vertical body force against a
-             plane at height 1, penalized flow, tau = h/50, eps = 1.25e-1.
+             plane at height 1, tau = h/50; its penalty parameter eps = 1.25e-1
+             selects the penalized flow, the only preset with an eps.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ OSHAPE_CLAMP = (((-5.0, -2.0), (-5.0, -1.0)), ((-5.0, -2.0), (-4.0, -2.0)))
 
 PRESETS = {
     "rectangle": dict(domain="rectangle", level=3, pattern="nonsymmetric",
-                      alpha=2.5, tau_denominator=5, mode="isometry_flow",
-                      dirichlet=RECT_CLAMP, cf=0.0, eps=None),
+                      alpha=2.5, tau_denominator=5, dirichlet=RECT_CLAMP, cf=0.0, eps=None),
     "oshape": dict(domain="oshape", level=3, pattern="symmetric",
-                   alpha=0.5, tau_denominator=5, mode="isometry_flow",
-                   dirichlet=OSHAPE_CLAMP, cf=0.0, eps=None),
+                   alpha=0.5, tau_denominator=5, dirichlet=OSHAPE_CLAMP, cf=0.0, eps=None),
     "obstacle": dict(domain="oshape", level=3, pattern="symmetric",
-                     alpha=0.0, tau_denominator=50, mode="penalized_flow",
-                     dirichlet=OSHAPE_CLAMP, cf=6.0e-3, eps=1.25e-1),
+                     alpha=0.0, tau_denominator=50, dirichlet=OSHAPE_CLAMP, cf=6.0e-3,
+                     eps=1.25e-1),
 }
 
 # The finest mesh level the presets accept.  The factorization stores the
@@ -93,13 +92,12 @@ def resolve(config: RunConfig) -> ResolvedRun:
                           f"{_LEVEL_6_GIB[preset['domain']]} GiB, and more at finer levels")
     pattern = preset["pattern"] if config.pattern is None else config.pattern
     alpha = preset["alpha"] if config.alpha is None else float(config.alpha)
-    mode = preset["mode"]
     cf = preset["cf"] if config.cf is None else float(config.cf)
     eps = preset["eps"] if config.eps is None else float(config.eps)
 
     h = 2.0 ** (-level)
     tau = h / preset["tau_denominator"] if config.tau is None else float(config.tau)
-    if mode != "penalized_flow" and config.eps is not None:
+    if preset["eps"] is None and config.eps is not None:
         raise ConfigError(f"eps is only meaningful for the obstacle experiment, "
                           f"not {config.experiment!r}")
 
@@ -112,8 +110,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         mesh = tag_dirichlet_boundary(mesh, preset["dirichlet"])
         f = (0.0, 0.0, cf) if cf else None
         params = SimulationParams(alpha=alpha, tau=tau, eps_stop=config.eps_stop,
-                                  eps_penalty=eps, f=f, mode=mode,
-                                  max_iters=config.max_iters)
+                                  eps_penalty=eps, f=f, max_iters=config.max_iters)
         initial = load_field(config.resume) if config.resume else flat_embedding(mesh)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -127,7 +124,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "level": level, "pattern": pattern, "h": h,
         "alpha": alpha, "tau": tau,
         "eps": eps if eps is not None else "none", "cf": cf,
-        "eps_stop": config.eps_stop, "mode": mode,
+        "eps_stop": config.eps_stop,
+        "mode": "penalized_flow" if params.penalized else "isometry_flow",
         "max_iters": config.max_iters, "vtk_every": config.vtk_every,
         "resume": config.resume or "none",
         "triangles": mesh.num_triangles, "vertices": mesh.num_vertices,

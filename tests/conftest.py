@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from plateflow import dkt, mesh as pm
+from plateflow import dkt, energy as en, mesh as pm
 from plateflow.constraints import tangent_basis
 from plateflow.linsolve import _BLOCK_COLS as BLOCK_COLS, _BLOCK_ROWS as BLOCK_ROWS
 
@@ -56,6 +56,18 @@ def random_quadratic(rng):
         return c1[None, :] + 2.0 * x @ C
 
     return w, grad
+
+
+def interpolate_dkt(mesh, y, grad_y):
+    """Nodal interpolation: values y(z) and gradients grad_y(z) become the dofs.
+
+    y maps (N, 2) -> (N, 3); grad_y maps (N, 2) -> (N, 3, 2).
+    """
+    pts = mesh.vertices
+    vals = np.asarray(y(pts), dtype=np.float64).reshape(-1, 3)
+    grads = np.asarray(grad_y(pts), dtype=np.float64).reshape(-1, 3, 2)
+    dofs = np.concatenate([vals[:, :, None], grads], axis=2)
+    return dkt.DeformationField(dofs.reshape(-1))
 
 
 def random_field(mesh, rng, scale=1.0, clamp=False):
@@ -213,6 +225,24 @@ def einsum_element_operators(mesh):
 # ---------------------------------------------------------------------------
 # readers of the run files
 
+def read_mesh_file(path):
+    """The vertices, triangles and clamped edges (V, 2), (F, 3), (D, 2) of a
+    `save_mesh` file, each section's length checked against its header."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    head = lines[0].split()
+    assert len(head) == 4 and head[0] == "vertices" and head[2] == "triangles"
+    nv, nt = int(head[1]), int(head[3])
+    vertices = np.array([line.split() for line in lines[1:1 + nv]], dtype=np.float64)
+    triangles = np.array([line.split() for line in lines[1 + nv:1 + nv + nt]], dtype=np.int64)
+    tagged = lines[1 + nv + nt].split()
+    assert len(tagged) == 2 and tagged[0] == "dirichlet_edges"
+    clamped = np.array([line.split() for line in lines[2 + nv + nt:]],
+                       dtype=np.int64).reshape(-1, 2)
+    assert len(clamped) == int(tagged[1])
+    return vertices, triangles, clamped
+
+
 def read_history_csv(path):
     """Columns of a history file as arrays keyed by header name."""
     with open(path) as f:
@@ -314,8 +344,8 @@ def coo_bending_stiffness(mesh):
 
 
 # ---------------------------------------------------------------------------
-# oracles of the evaluation pass: the spontaneous-curvature term, its
-# derivative and the penalty terms, each computed on its own
+# oracles of the evaluation pass: the energy, the spontaneous-curvature term,
+# its derivative and the penalty terms, each computed on its own
 
 def nodal_normals(field):
     """d1 y x d2 y at each vertex, shape (V, 3)."""
@@ -361,6 +391,30 @@ def nonlinear_rhs(mesh, field, alpha, ops=None):
     np.add.at(r, (base + 1).reshape(-1), c1.reshape(-1))
     np.add.at(r, (base + 2).reshape(-1), c2.reshape(-1))
     return r
+
+
+def total_energy(mesh, field, params, K=None, ops=None):
+    """The discrete energy E[y] (excluding any obstacle penalty), from K y if
+    K is given and from the element blocks otherwise.
+
+    Note: the constant alpha^2 |omega| of the continuous functional is not
+    included, so flat states have energy zero and bent equilibria can be
+    negative.  In floating point a flat state's energy is zero only up to
+    rounding of order eps times the magnitude of the bending quadratic form,
+    1/2 sum_f |loc_f|^T |B_f| |loc_f|: the terms cancel exactly only in exact
+    arithmetic.
+    """
+    if K is not None:
+        bend = 0.5 * float(field.dofs @ (K @ field.dofs))
+    else:
+        if ops is None:
+            ops = dkt.element_operators(mesh)
+        loc = field.dofs[ops.scalar_dof_indices]
+        bend = 0.5 * float(np.einsum("fcl,flm,fcm->", loc, ops.bending, loc))
+    e = bend - en.curvature_terms(mesh, field, params.alpha, ops)[0]
+    if params.f is not None:
+        e -= float(en.force_rhs(mesh, params.f) @ field.dofs)
+    return e
 
 
 def penalty_pieces(s, height=1.0):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from plateflow import dkt, energy as en, io as pio, mesh as pm
-from plateflow.dkt import DeformationField, interpolate_dkt
+from plateflow.dkt import DeformationField
 from plateflow.energy import SimulationParams
-from plateflow.flow import run_flow
+from plateflow.flow import GradientFlow
 
-from conftest import (TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, random_field,
-                      random_quadratic, read_report)
+from conftest import (TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, interpolate_dkt,
+                      random_field, random_quadratic, read_report)
 from test_dkt import reconstruction_hessians
 
 OSHAPE_CLAMP = [((-5.0, -2.0), (-5.0, -1.0)), ((-5.0, -2.0), (-4.0, -2.0))]
@@ -42,7 +42,7 @@ def run_oshape(level, tau_div=5, max_iters=30000):
     h = 2.0 ** -level
     params = SimulationParams(alpha=0.5, tau=h / tau_div, eps_stop=1e-3,
                               max_iters=max_iters)
-    return run_flow(oshape_mesh(level), params)
+    return GradientFlow(oshape_mesh(level), params).run()
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def rect_l1_run():
     mesh = pm.tag_dirichlet_boundary(pm.generate_rectangle_mesh(1, "nonsymmetric"),
                                      [((-5.0, -2.0), (-5.0, 2.0))])
     params = SimulationParams(alpha=2.5, tau=0.5 / 5, eps_stop=1e-3, max_iters=1500)
-    report, state = run_flow(mesh, params)
+    report, state = GradientFlow(mesh, params).run()
     return mesh, report, state
 
 
@@ -72,9 +72,8 @@ def penalized_l1_sweep():
     out = {}
     for eps in (5.0e-1, 2.5e-1, 1.25e-1, 6.25e-2):
         params = SimulationParams(alpha=0.0, tau=0.5 / 50, eps_stop=1e-3,
-                                  eps_penalty=eps, f=(0.0, 0.0, 6.0e-3),
-                                  mode="penalized_flow", max_iters=50000)
-        out[eps] = run_flow(mesh, params)
+                                  eps_penalty=eps, f=(0.0, 0.0, 6.0e-3), max_iters=50000)
+        out[eps] = GradientFlow(mesh, params).run()
     return out
 
 
@@ -82,9 +81,8 @@ def penalized_l1_sweep():
 def penalized_l2_run():
     """Obstacle preset reduced to level 2 (criterion 8)."""
     params = SimulationParams(alpha=0.0, tau=0.25 / 50, eps_stop=1e-3,
-                              eps_penalty=1.25e-1, f=(0.0, 0.0, 6.0e-3),
-                              mode="penalized_flow", max_iters=60000)
-    return run_flow(oshape_mesh(2), params)
+                              eps_penalty=1.25e-1, f=(0.0, 0.0, 6.0e-3), max_iters=60000)
+    return GradientFlow(oshape_mesh(2), params).run()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def test_criterion_4_stationarity():
     mesh = pm.tag_dirichlet_boundary(pm.generate_rectangle_mesh(1),
                                      [((-5.0, -2.0), (-5.0, 2.0))])
     params = SimulationParams(alpha=0.0, tau=0.1, eps_stop=1e-3, max_iters=10)
-    report, _ = run_flow(mesh, params)
+    report, _ = GradientFlow(mesh, params).run()
     check("4 (flat plate stationary)",
           report.iterations == 1 and report.last_update_norm <= 1e-12,
           f"{report.iterations} iteration(s), update norm {report.last_update_norm:.2e}")
@@ -309,7 +307,7 @@ def test_criterion_10_rectangle_smoke(rect_l1_run, oshape_l1_runs, tmp_path):
     curled = pos[:, 2].max() > 1.0 and pos[:, 0].max() < 4.0
 
     vtk = tmp_path / "rect_smoke.vtk"
-    pio.write_vtk_surface(state.y, mesh, vtk)
+    pio.write_vtk_surface(state.y, mesh, vtk, 1.0)
     written = vtk.exists() and vtk.read_text().startswith("# vtk DataFile")
 
     check("10 (rectangle desk-scale smoke)",

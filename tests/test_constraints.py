@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from plateflow import constraints as cn
-from plateflow.dkt import DeformationField, flat_embedding, interpolate_dkt
+from plateflow.dkt import DeformationField, flat_embedding
 
 from conftest import (GRAD_DOFS, constraint_blocks, cylinder_map, dense_basis,
-                      random_field)
+                      interpolate_dkt, random_field)
 
 
 def test_flat_constraint_rows(rect_l2_clamped):

@@ -3,13 +3,13 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 from plateflow import dkt, mesh as pm
-from plateflow.dkt import P2_NODES_BARY, flat_embedding, interpolate_dkt
+from plateflow.dkt import P2_NODES_BARY, flat_embedding
 from plateflow.energy import SimulationParams, assemble_bending_stiffness
 from plateflow.flow import GradientFlow
 
 from conftest import (EPS, TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, discrete_lp_norm,
                       einsum_element_operators, einsum_physical_gradients, einsum_stiffness,
-                      lumped_p1_integral, random_field)
+                      interpolate_dkt, lumped_p1_integral, random_field)
 
 TRI = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.7]])
 

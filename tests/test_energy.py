@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from plateflow import dkt, energy as en, mesh as pm
-from plateflow.dkt import flat_embedding, interpolate_dkt
+from plateflow.dkt import flat_embedding
 from plateflow.energy import SimulationParams
 
 from conftest import (EPS, coo_bending_stiffness, cylinder_map, flat_energy_rounding_scale,
-                      lumped_p1_integral, nonlinear_energy_term, nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
-                      penalty_rhs, random_field, residual_rounding_scale)
+                      interpolate_dkt, lumped_p1_integral, nonlinear_energy_term,
+                      nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
+                      penalty_rhs, random_field, residual_rounding_scale, total_energy)
 
 
 def test_params_validation():
@@ -17,11 +18,13 @@ def test_params_validation():
         SimulationParams(eps_stop=-1.0)
     with pytest.raises(ValueError):
         SimulationParams(alpha=np.inf)
-    with pytest.raises(ValueError):
-        SimulationParams(mode="penalized_flow")  # needs eps_penalty
-    with pytest.raises(ValueError):
-        SimulationParams(mode="off_by_one")
-    SimulationParams(mode="penalized_flow", eps_penalty=0.5)
+    # a given penalty parameter selects the penalized flow, and must be
+    # positive and finite; without one the flow is the isometry flow
+    assert SimulationParams(alpha=0, tau=0.01, eps_penalty=0.125, f=(0, 0, 6e-3)).penalized
+    for eps in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps_penalty"):
+            SimulationParams(eps_penalty=eps)
+    assert not SimulationParams(alpha=0.5, tau=0.1).penalized
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +244,8 @@ def test_total_energy_flat_zero(rect_l2, rect_l2_symmetric):
         bent.nodal()[centre, 2, 1] += 1e-3
         K = en.assemble_bending_stiffness(mesh)
         for path_K in (None, K):
-            assert abs(en.total_energy(mesh, flat, params, K=path_K)) <= bound
-            assert en.total_energy(mesh, bent, params, K=path_K) >= 100 * bound
+            assert abs(total_energy(mesh, flat, params, K=path_K)) <= bound
+            assert total_energy(mesh, bent, params, K=path_K) >= 100 * bound
 
 
 def test_total_energy_cylinder_limit():
@@ -255,7 +258,7 @@ def test_total_energy_cylinder_limit():
     for level in (2, 3):
         m = pm.generate_rectangle_mesh(level)
         field = interpolate_dkt(m, y, grad)
-        errs.append(abs(en.total_energy(m, field, params) + 125.0))
+        errs.append(abs(total_energy(m, field, params) + 125.0))
     assert errs[1] < 0.7 * errs[0]
     assert errs[1] < 0.05 * 125.0
 
@@ -274,8 +277,8 @@ def test_total_energy_gradient_consistency(rect_l2):
         w /= np.linalg.norm(w)
         fp = dkt.DeformationField(field.dofs + step * w)
         fm = dkt.DeformationField(field.dofs - step * w)
-        fd = (en.total_energy(rect_l2, fp, params, K=K)
-              - en.total_energy(rect_l2, fm, params, K=K)) / (2 * step)
+        fd = (total_energy(rect_l2, fp, params, K=K)
+              - total_energy(rect_l2, fm, params, K=K)) / (2 * step)
         assert abs(fd - grad_vec @ w) <= 1e-6 * max(abs(fd), 1.0)
 
 

@@ -9,14 +9,15 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky_banded
 
 from plateflow import energy, flow as flow_module, linsolve, mesh as pm
-from plateflow.constraints import tangent_basis
+from plateflow.constraints import isometry_defect, tangent_basis
 from plateflow.dkt import flat_embedding, vertex_lumped_masses
 from plateflow.energy import SimulationParams
-from plateflow.flow import GradientFlow, StepSizeWarning, run_flow, step_size_safeguard
+from plateflow.flow import GradientFlow, StepSizeWarning, step_size_safeguard
 from plateflow.presets import RunConfig, resolve
 
-from conftest import (dense_basis, flat_update_rounding_scale, penalty_rhs, random_field,
-                      reduced_matrix, stored_lower)
+from conftest import (dense_basis, flat_update_rounding_scale, obstacle_penetration,
+                      penalty_energy, penalty_rhs, random_field, reduced_matrix, stored_lower,
+                      total_energy)
 
 
 def small_oshape():
@@ -84,14 +85,14 @@ def test_bending_seminorm_stays_bounded(oshape_l1_clamped):
 
 def test_delta_iso_monotone_nondecreasing(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=50)
-    report, state = run_flow(oshape_l1_clamped, params)
+    report, state = GradientFlow(oshape_l1_clamped, params).run()
     d = [rec.delta_iso for rec in state.history]
     assert all(d[i + 1] >= d[i] - 1e-12 for i in range(len(d) - 1))
 
 
 def test_max_iters_reason(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=1)
-    report, _ = run_flow(oshape_l1_clamped, params)
+    report, _ = GradientFlow(oshape_l1_clamped, params).run()
     assert report.termination_reason == "max_iters"
     assert report.iterations == 1
 
@@ -102,7 +103,7 @@ def test_degeneracy_detected(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=5)
     y0 = flat_embedding(m)
     y0.nodal()[:, :, 1:] = 0.0
-    report, _ = run_flow(m, params, y0=y0)
+    report, _ = GradientFlow(m, params).run(y0)
     assert report.termination_reason == "degeneracy"
     assert "min singular value" in report.termination_detail
 
@@ -115,7 +116,7 @@ def test_solver_failure_reported(oshape_l1_clamped, monkeypatch):
 
     monkeypatch.setattr(linsolve.TangentSystem, "solve", boom)
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=5)
-    report, _ = run_flow(oshape_l1_clamped, params)
+    report, _ = GradientFlow(oshape_l1_clamped, params).run()
     assert report.termination_reason == "solver_failure"
     assert "synthetic failure" in report.termination_detail
 
@@ -124,7 +125,7 @@ def test_penalized_flat_stationary(oshape_l1_clamped):
     # below the obstacle, with alpha = 0 and f = 0, the explicit penalty terms
     # cancel exactly and the flat state is stationary
     params = SimulationParams(alpha=0.0, tau=0.01, eps_stop=1e-3, max_iters=5,
-                              eps_penalty=0.125, mode="penalized_flow")
+                              eps_penalty=0.125)
     flow = GradientFlow(oshape_l1_clamped, params)
     report, state = flow.run()
     assert report.termination_reason == "converged"
@@ -136,20 +137,43 @@ def test_explicit_rhs_without_curvature_is_the_penalty_rhs(oshape_l1_clamped):
     # alpha = 0 skips the curvature pass: the explicit rhs of a step is then
     # exactly the penalty rhs, above and below the obstacle
     m = oshape_l1_clamped
-    params = SimulationParams(alpha=0.0, tau=0.01, eps_penalty=0.125, mode="penalized_flow")
+    params = SimulationParams(alpha=0.0, tau=0.01, eps_penalty=0.125)
     flow = GradientFlow(m, params)
     y = random_field(m, np.random.default_rng(157), scale=2.0)
     assert (y.positions()[:, 2] > 1.0).any() and (y.positions()[:, 2] < 1.0).any()
-    rhs = flow._evaluate(y, flow.K @ y.dofs)[3]
+    rhs = flow.initial_state(y).explicit_rhs
     assert np.array_equal(rhs, penalty_rhs(m, y, params.eps_penalty))
+
+
+@pytest.mark.parametrize("eps_penalty", [None, 0.125], ids=["isometry_flow", "penalized_flow"])
+def test_states_carry_the_energies_of_their_iterates(eps_penalty, oshape_l1_clamped):
+    # the initial state and a stepped one both hold E + penalty, the penalty,
+    # the penetration and the isometry defect of their own iterate
+    m = oshape_l1_clamped
+    params = SimulationParams(alpha=0.5, tau=0.01, eps_penalty=eps_penalty,
+                              f=(0.0, 0.0, 6.0e-3))
+    flow = GradientFlow(m, params)
+    y = random_field(m, np.random.default_rng(163), scale=0.2)
+    y.dofs[:] += flat_embedding(m).dofs
+    y.nodal()[:, 2, 0] += 1.0      # about half the vertices above the obstacle
+    state = flow.initial_state(y)
+    for k in (0, 1):
+        assert state.k == k
+        pen = penalty_energy(m, state.y, eps_penalty) if eps_penalty else 0.0
+        assert (pen > 0) == (eps_penalty is not None)
+        assert state.penalty_energy == pen
+        assert state.delta_pen == (obstacle_penetration(state.y) if eps_penalty else 0.0)
+        assert state.delta_iso == isometry_defect(state.y)
+        expected = total_energy(m, state.y, params, K=flow.K) + pen
+        assert abs(state.energy - expected) <= 1e-12 * max(abs(expected), 1.0)
+        state = flow.step(state)
 
 
 def test_penalized_lyapunov_decay_short(oshape_l1_clamped):
     params = SimulationParams(alpha=0.0, tau=0.01, eps_stop=1e-3, max_iters=250,
-                              eps_penalty=0.25, f=(0.0, 0.0, 6.0e-3),
-                              mode="penalized_flow")
+                              eps_penalty=0.25, f=(0.0, 0.0, 6.0e-3))
     # tau = 0.01 exceeds c_f eps = 1.5e-3: the splitting decays regardless
-    report, state = run_flow(oshape_l1_clamped, params)
+    report, state = GradientFlow(oshape_l1_clamped, params).run()
     e = [rec.energy for rec in state.history]
     assert all(e[i + 1] <= e[i] + 1e-10 for i in range(len(e) - 1))
     assert state.history[-1].penalty_energy >= 0.0
@@ -161,13 +185,15 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
     # meet: from the flat state the level-4 right-hand side is tiny, and a
     # vertical load drives the soft modes of the cantilever
     if case == "oshape-level4":
-        run = resolve(RunConfig(experiment="oshape", level=4))
-        flows = [(GradientFlow(run.mesh, run.params), run.initial, 2)]
+        run = resolve(RunConfig(experiment="oshape", level=4, max_iters=2))
+        flows = [(GradientFlow(run.mesh, run.params), run.initial)]
     else:
-        flows = [(GradientFlow(rect_l2_clamped, SimulationParams(alpha=0.0, tau=0.1, f=f)),
-                  None, 1) for f in ((0.0, 0.0, 1e-3), (0.0, 0.0, 1.0))]
-    for flow, y0, steps in flows:
-        report, state = flow.run(y0, max_iters=steps)
+        flows = [(GradientFlow(rect_l2_clamped,
+                               SimulationParams(alpha=0.0, tau=0.1, f=f, max_iters=1)), None)
+                 for f in ((0.0, 0.0, 1e-3), (0.0, 0.0, 1.0))]
+    for flow, y0 in flows:
+        steps = flow.params.max_iters
+        report, state = flow.run(y0)
         assert report.termination_reason == "max_iters"
         assert report.iterations == steps
         assert state.update_norm > 0 and state.constraint_residual <= 1e-12
@@ -301,12 +327,12 @@ def test_envelope_storage_is_smaller_than_the_band(level):
         assert c + w + m <= ends[min(k + 1, len(ends) - 1)]
 
 
-@pytest.mark.parametrize("mode", ["isometry_flow", "penalized_flow"])
-def test_blockwise_step_matrix_matches_dense_product(mode, oshape_l1_clamped):
+@pytest.mark.parametrize("eps_penalty", [None, 0.125], ids=["isometry_flow", "penalized_flow"])
+def test_blockwise_step_matrix_matches_dense_product(eps_penalty, oshape_l1_clamped):
     # the reduced matrix a step factors equals Z^T A_ff Z with the dense
     # A = (1 + tau) K (+ tau/eps M3) and Z from the kernel blocks
     m = oshape_l1_clamped
-    params = SimulationParams(alpha=0.5, tau=0.1, eps_penalty=0.125, mode=mode)
+    params = SimulationParams(alpha=0.5, tau=0.1, eps_penalty=eps_penalty)
     flow = GradientFlow(m, params)
     A = (1.0 + params.tau) * flow.K.toarray()
     if params.penalized:
@@ -327,7 +353,7 @@ def test_blockwise_step_matrix_matches_dense_product(mode, oshape_l1_clamped):
 
 def test_history_record_schema(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=3)
-    report, state = run_flow(oshape_l1_clamped, params)
+    report, state = GradientFlow(oshape_l1_clamped, params).run()
     assert len(state.history) == 3
     ks = [rec.k for rec in state.history]
     assert ks == [1, 2, 3]
@@ -335,7 +361,7 @@ def test_history_record_schema(oshape_l1_clamped):
 
 def test_report_converged_iff_update_below_threshold(oshape_l1_clamped):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=2500)
-    report, _ = run_flow(oshape_l1_clamped, params)
+    report, _ = GradientFlow(oshape_l1_clamped, params).run()
     assert report.converged == (report.last_update_norm <= params.eps_stop)
     assert report.converged
 
@@ -358,7 +384,7 @@ def test_safeguard_warns_on_huge_tau():
 def test_safeguard_quiet_for_penalized_preset(recwarn):
     m = pm.generate_oshape_mesh(3, "symmetric")
     params = SimulationParams(alpha=0.0, tau=0.125 / 50, eps_penalty=1.25e-1,
-                              f=(0.0, 0.0, 2.0e-2), mode="penalized_flow")
+                              f=(0.0, 0.0, 2.0e-2))
     step_size_safeguard(params, m)
     assert not [w for w in recwarn.list if issubclass(w.category, StepSizeWarning)]
 

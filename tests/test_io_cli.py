@@ -6,18 +6,19 @@ import pytest
 
 from plateflow import io as pio, mesh as pm
 from plateflow.cli import main, parse_config
-from plateflow.dkt import flat_embedding, interpolate_dkt
+from plateflow.dkt import flat_embedding
 from plateflow.energy import SimulationParams
-from plateflow.flow import run_flow
+from plateflow.flow import GradientFlow
 from plateflow.presets import PRESETS, ConfigError, RunConfig, resolve
 
-from conftest import cylinder_map, random_field, read_history_csv, read_report
+from conftest import (cylinder_map, interpolate_dkt, random_field, read_history_csv,
+                      read_report)
 
 
 @pytest.fixture(scope="module")
 def tiny_run(oshape_l1_module):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=3)
-    return run_flow(oshape_l1_module, params)
+    return GradientFlow(oshape_l1_module, params).run()
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_history_writer_incremental(tmp_path, oshape_l1_module):
     params = SimulationParams(alpha=0.5, tau=0.1, eps_stop=1e-3, max_iters=5)
     path = tmp_path / "h.csv"
     with pio.HistoryCsvWriter(path) as w:
-        run_flow(oshape_l1_module, params, on_step=lambda s: w.write(s.history[-1]))
+        GradientFlow(oshape_l1_module, params).run(on_step=lambda s: w.write(s.history[-1]))
     assert len(path.read_text().strip().splitlines()) == 6
 
 
@@ -66,7 +67,7 @@ def read_vtk_sections(path):
 def test_vtk_flat_embedding(tmp_path, oshape_l1_module):
     m = oshape_l1_module
     path = tmp_path / "flat.vtk"
-    pio.write_vtk_surface(flat_embedding(m), m, path)
+    pio.write_vtk_surface(flat_embedding(m), m, path, 1.0)
     text = read_vtk_sections(path)
     assert f"POINTS {m.num_vertices} double" in text
     assert f"CELLS {m.num_triangles} {4 * m.num_triangles}" in text
@@ -84,7 +85,7 @@ def test_vtk_cylinder_defect_negligible(tmp_path, rect_l2):
     y, grad, _ = cylinder_map(2.5)
     field = interpolate_dkt(rect_l2, y, grad)
     path = tmp_path / "cyl.vtk"
-    pio.write_vtk_surface(field, rect_l2, path)
+    pio.write_vtk_surface(field, rect_l2, path, 1.0)
     text = read_vtk_sections(path)
     block = text.split("SCALARS isometry_defect double")[1]
     vals = np.array(block.splitlines()[2:2 + rect_l2.num_vertices], dtype=float)
@@ -146,8 +147,10 @@ def test_preset_table_frozen():
     assert PRESETS["obstacle"]["eps"] == 1.25e-1
     assert PRESETS["obstacle"]["tau_denominator"] == 50
     assert PRESETS["obstacle"]["alpha"] == 0.0
-    assert PRESETS["obstacle"]["mode"] == "penalized_flow"
     assert PRESETS["obstacle"]["cf"] == 6.0e-3
+    # the penalty parameter selects the penalized flow: only the obstacle has one
+    assert [name for name, preset in PRESETS.items() if preset["eps"] is not None] == [
+        "obstacle"]
 
 
 def test_parse_rectangle_preset():
@@ -165,14 +168,15 @@ def test_parse_oshape_preset():
     run = resolve(parse_config(["--experiment", "oshape", "--level", "1"]))
     assert run.params.alpha == 0.5
     assert run.params.tau == 2.0**-1 / 5
-    assert run.params.mode == "isometry_flow"
+    assert not run.params.penalized
 
 
 def test_parse_obstacle_preset():
     run = resolve(parse_config(["--experiment", "obstacle", "--cf", "6e-3",
                                 "--eps", "5e-1", "--level", "1"]))
-    assert run.params.mode == "penalized_flow"
+    assert run.params.penalized
     assert run.params.eps_penalty == 0.5
+    assert resolve(RunConfig(experiment="obstacle", level=1)).params.penalized
     assert run.params.tau == 0.5 / 50
     assert np.allclose(run.params.f, (0.0, 0.0, 6.0e-3))
 
