@@ -7,7 +7,7 @@ linearization of the isometry constraint, and obstacles enter through a
 convex-concave penalty.
 """
 
-from .constraints import apply_dirichlet, isometry_defect, tangent_basis
+from .constraints import apply_dirichlet, tangent_basis
 from .dkt import DeformationField, flat_embedding
 from .energy import (SimulationParams, assemble_bending_stiffness, curvature_terms,
                      penalty_terms)
@@ -24,6 +24,6 @@ __all__ = [
     "RunReport", "SimulationParams", "TangentSystem", "TriangleMesh",
     "apply_dirichlet", "assemble_bending_stiffness", "build_edge_data",
     "curvature_terms", "flat_embedding", "generate_oshape_mesh",
-    "generate_rectangle_mesh", "isometry_defect", "penalty_terms", "resolve",
+    "generate_rectangle_mesh", "penalty_terms", "resolve",
     "save_mesh", "step_size_safeguard", "tag_dirichlet_boundary", "tangent_basis",
 ]

@@ -14,8 +14,9 @@ are independent.  Taking omega along a1, a2 and the normal n = a1 x a2 gives
 three mutually orthogonal directions, so the tangent space has a closed-form
 block-diagonal basis Z: the identity on the three value dofs of each free
 vertex and an orthonormal 6x3 kernel block of C_z on its gradient dofs.
-`tangent_basis` returns it together with the smallest singular value of each
-C_z, which the flow checks for degeneracy, from one pass over the frames.
+`nodal_frames` is the one pass over the frames: `tangent_basis` reads the
+basis and the smallest singular value of each C_z off it, which the flow
+checks for degeneracy, and `nodal_isometry_defects` the defects.
 """
 
 from __future__ import annotations
@@ -42,9 +43,16 @@ def cross(a, b) -> np.ndarray:
     return out
 
 
-def tangent_basis(grads: np.ndarray):
+def nodal_frames(grads: np.ndarray):
+    """The frames of the nodal gradients (a1, a2), shape (n, 3, 2), from one
+    pass: (|a1|^2, |a2|^2, a1 . a2), each (n,), and a1 x a2, (n, 3)."""
+    a1, a2 = grads[:, :, 0], grads[:, :, 1]
+    return (a1 * a1).sum(axis=1), (a2 * a2).sum(axis=1), (a1 * a2).sum(axis=1), cross(a1, a2)
+
+
+def tangent_basis(grads: np.ndarray, frames):
     """Orthonormal kernel blocks of the constraint blocks C_z and the smallest
-    singular value of each block, from one pass over the nodal frames.
+    singular value of each block, from the `nodal_frames` of the gradients.
 
     `grads` holds the nodal gradients (a1, a2) of n vertices, shape (n, 3, 2).
     Returns (Q, sigma).  Q has shape (n, 3, 2, 3); entry [v, c, k, j] is the
@@ -67,11 +75,7 @@ def tangent_basis(grads: np.ndarray):
     sqrt(eps) times their size (1e-9 at level 3), which leaves a threshold
     far below them unaffected.
     """
-    a1, a2 = grads[:, :, 0], grads[:, :, 1]
-    p = (a1 * a1).sum(axis=1)
-    q = (a2 * a2).sum(axis=1)
-    m = (a1 * a2).sum(axis=1)
-
+    p, q, m, normal = frames
     mean = 2.0 * (p + q) / 3.0
     d0, d1, d2 = p - mean, q - mean, p + q - mean
     width = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 4.0 * m * m) / 6.0)
@@ -82,10 +86,9 @@ def tangent_basis(grads: np.ndarray):
     smallest = mean + 2.0 * width * np.cos(angle + 2.0 * np.pi / 3.0)
     sigma = np.sqrt(np.maximum(smallest, 0.0))
 
-    nu = cross(a1, a2)
     Q = np.zeros(grads.shape + (3,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu /= np.sqrt((nu * nu).sum(axis=1))[:, None]
+        nu = normal / np.sqrt((normal * normal).sum(axis=1))[:, None]
         drill = 1.0 / np.sqrt(p + q)
     Q[:, :, 0, 0] = nu
     Q[:, :, 1, 1] = nu
@@ -95,20 +98,12 @@ def tangent_basis(grads: np.ndarray):
     return Q, sigma
 
 
-def isometry_defect(field: DeformationField) -> float:
-    """Max over vertices of the Frobenius norm of grad(y)^T grad(y) - I."""
-    return float(nodal_isometry_defects(field).max())
-
-
-def nodal_isometry_defects(field: DeformationField) -> np.ndarray:
-    """Per-vertex Frobenius norm of the nodal isometry defect, shape (V,):
-    sqrt((|a1|^2 - 1)^2 + 2 (a1 . a2)^2 + (|a2|^2 - 1)^2), summed in the
-    row order of the 2-by-2 defect matrix."""
-    g = field.gradients()
-    a1, a2 = g[:, :, 0], g[:, :, 1]
-    p = (a1 * a1).sum(axis=1) - 1.0
-    q = (a2 * a2).sum(axis=1) - 1.0
-    m = (a1 * a2).sum(axis=1)
+def nodal_isometry_defects(frames) -> np.ndarray:
+    """Per-vertex Frobenius norm of grad(y)^T grad(y) - I from the
+    `nodal_frames`: sqrt((|a1|^2 - 1)^2 + 2 (a1 . a2)^2 + (|a2|^2 - 1)^2),
+    summed in the row order of the 2-by-2 defect matrix."""
+    p, q, m, _ = frames
+    p, q = p - 1.0, q - 1.0
     return np.sqrt(p * p + m * m + m * m + q * q)
 
 

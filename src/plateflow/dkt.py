@@ -68,14 +68,14 @@ def p2_reference_gradients(bary) -> np.ndarray:
 
 def _inverse_transposes(coords):
     """inv(J)^T of the affine maps J of a stack of triangles, coords (F, 3, 2)."""
-    areas, _ = check_triangles(coords)
+    areas = triangle_areas(coords)
     # J has the columns (a, b) and (c, d), so inv(J)^T = [[d, -b], [-c, a]] / det J
     (a, b), (c, d) = (coords[:, 1] - coords[:, 0]).T, (coords[:, 2] - coords[:, 0]).T
     inv_t = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
     return inv_t / (2.0 * areas)[:, None, None]
 
 
-def p2_physical_gradients(coords, bary) -> np.ndarray:
+def _p2_physical_gradients(coords, bary) -> np.ndarray:
     """Physical gradients of the P2 basis at barycentric points: (F, npts, 6, 2)."""
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2)
     inv_t = _inverse_transposes(coords)[:, None, None]   # (F, 1, 1, e, d)
@@ -83,7 +83,7 @@ def p2_physical_gradients(coords, bary) -> np.ndarray:
     return inv_t[..., 0] * ref[..., 0] + inv_t[..., 1] * ref[..., 1]
 
 
-def dkt_gradient_matrices(coords) -> np.ndarray:
+def _dkt_gradient_matrices(coords) -> np.ndarray:
     """Stacked 12x9 maps from local scalar DKT dofs to P2 nodal vector values.
 
     Row 2*node + component holds the reconstructed gradient component at that
@@ -92,7 +92,6 @@ def dkt_gradient_matrices(coords) -> np.ndarray:
     bit-identically from both of its triangles.
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2)
-    check_triangles(coords)
     G = np.zeros((len(coords), 12, 9))
     G[:, np.arange(6), [1, 2, 4, 5, 7, 8]] = 1.0
     # edge node 3 + i as [triangle, i, component, vertex, kind]
@@ -122,7 +121,7 @@ _R = np.einsum("pnd,pme->denm", *[p2_reference_gradients(P2_NODES_BARY[3:])] * 2
 _P2_REFERENCE_STIFFNESS = np.stack([_R[0, 0], _R[0, 1] + _R[1, 0], _R[1, 1]]).reshape(3, 36)
 
 
-def p2_scalar_stiffness_matrices(coords) -> np.ndarray:
+def _p2_scalar_stiffness_matrices(coords) -> np.ndarray:
     """Stacked 6x6 matrices of integrals grad(N_i) . grad(N_j) over each triangle.
 
     The 3-edge-midpoint rule integrates the quadratic products exactly:
@@ -131,7 +130,7 @@ def p2_scalar_stiffness_matrices(coords) -> np.ndarray:
     symmetric matrix, so S is symmetric bit for bit.
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2)
-    areas, _ = check_triangles(coords)
+    areas = triangle_areas(coords)
     e1 = coords[:, 1] - coords[:, 0]
     e2 = coords[:, 2] - coords[:, 0]
     adjugate = np.stack([(e2 * e2).sum(axis=1), -(e1 * e2).sum(axis=1),
@@ -207,17 +206,18 @@ class ElementOperators:
 def element_operators(mesh: TriangleMesh) -> ElementOperators:
     """The bending blocks K9 = G^T (S kron I_2) G, with G the reconstruction
     and S the P2 stiffness, in two batched products, and the Laplacian
-    D = div(theta) at the vertices."""
+    D = div(theta) at the vertices, of triangles that pass `check_triangles`."""
     coords = mesh.triangle_coords()
-    G = dkt_gradient_matrices(coords)
-    S = p2_scalar_stiffness_matrices(coords)
+    areas, _ = check_triangles(coords)
+    G = _dkt_gradient_matrices(coords)
+    S = _p2_scalar_stiffness_matrices(coords)
     # rows 2 n + c of G as [n, (c, dof)]: S acts on the node index alone
     K9 = G.transpose(0, 2, 1) @ (S @ G.reshape(-1, 6, 18)).reshape(-1, 12, 9)
     # one contracted index, summed in order: BLAS kernels fuse the
     # multiply-adds and round D differently
-    grads = p2_physical_gradients(coords, P2_NODES_BARY[:3]).reshape(-1, 3, 12)
+    grads = _p2_physical_gradients(coords, P2_NODES_BARY[:3]).reshape(-1, 3, 12)
     D = np.einsum("fpk,fkd->fpd", grads, G)
     # dof 9 v + 3 c + k of local dof (c, 3 v + k)
     idx = (9 * mesh.triangles[:, None, :, None] + 3 * np.arange(3)[:, None, None]
            + np.arange(3)).reshape(-1, 3, 9)
-    return ElementOperators(K9, D, triangle_areas(coords), idx)
+    return ElementOperators(K9, D, areas, idx)

@@ -14,14 +14,13 @@ part s^2 and a concave part treated explicitly in the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .constraints import cross
-from .dkt import DeformationField, ElementOperators, element_operators, vertex_lumped_masses
-from .linsolve import vertex_pair_blocks
+from .dkt import DeformationField, ElementOperators, vertex_lumped_masses
 from .mesh import TriangleMesh
 
 ForceLike = Union[None, np.ndarray, tuple, list]
@@ -39,8 +38,8 @@ class SimulationParams:
                the isometry flow
     f          body force: None, a constant 3-vector, or one 3-vector per
                vertex, shape (V, 3)
-    obstacle_height  height of the flat obstacle plane (1.0 in the benchmarks)
     max_iters  the most steps a run takes
+    obstacle_height  height of the flat obstacle plane: a class constant, 1.0
     """
 
     alpha: float = 0.0
@@ -48,8 +47,8 @@ class SimulationParams:
     eps_stop: float = 1.0e-3
     eps_penalty: Optional[float] = None
     f: ForceLike = None
-    obstacle_height: float = 1.0
     max_iters: int = 500_000
+    obstacle_height: ClassVar[float] = 1.0
 
     def __post_init__(self):
         for name in ("tau", "eps_stop"):
@@ -57,7 +56,7 @@ class SimulationParams:
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        for name in ("alpha", "obstacle_height", "f"):
+        for name in ("alpha", "f"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
@@ -69,17 +68,15 @@ class SimulationParams:
         return self.eps_penalty is not None
 
 
-def assemble_bending_stiffness(mesh: TriangleMesh, pairs=None) -> sp.csr_matrix:
+def assemble_bending_stiffness(mesh: TriangleMesh, pairs) -> sp.csr_matrix:
     """Global symmetric matrix K with 1/2 y^T K y = 1/2 ||grad theta(y)||^2.
 
     K couples the dofs 9 i + 3 c + k and 9 j + 3 c + l of two vertices that
     share a triangle through entry (k, l) of the summed element block S_ij
-    of the pair, for each component c.  The pairs are those of
-    `vertex_pair_blocks` on the element bending blocks, computed here unless
-    given.  The CSR pattern is written in sorted order from the pairs.
+    of the pair, for each component c.  The pairs (rows, cols, blocks) are
+    those of `vertex_pair_blocks` on the element bending blocks.  The CSR
+    pattern is written in sorted order from the pairs.
     """
-    if pairs is None:
-        pairs = vertex_pair_blocks(mesh.triangles, element_operators(mesh).bending)
     V = mesh.num_vertices
     # the pairs (i, j) sorted by column j, then row i, are the pairs (j, i)
     # sorted by row, then column, whose block is S_ij^T
@@ -103,22 +100,21 @@ def assemble_bending_stiffness(mesh: TriangleMesh, pairs=None) -> sp.csr_matrix:
 
 
 def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
-                    ops: ElementOperators | None = None):
+                    ops: ElementOperators, frames):
     """The spontaneous-curvature term alpha * L{ lap_h(y) . (d1 y x d2 y) },
     which enters the energy with a minus sign, and its assembled derivative r,
-    in one pass: the element Laplacians and the nodal normals are computed
-    once and serve both.
+    in one pass: the element Laplacians are computed once and serve both, as
+    do the nodal normals d1 y x d2 y, which it reads off the field's
+    `nodal_frames`.
 
     r . w is the Gateaux derivative in the direction w: the sum of the three
     lumped terms in which w enters the Laplacian, d1, and d2 slots in turn.
     The term is cubic in y, so r . y is three times its value.
     """
-    if ops is None:
-        ops = element_operators(mesh)
     tri = mesh.triangles
     g = field.gradients()
     a1, a2 = g[:, :, 0][tri], g[:, :, 1][tri]                 # (F, 3v, 3c)
-    nu = cross(g[:, :, 0], g[:, :, 1])[tri]
+    nu = frames[3][tri]
     loc = field.dofs[ops.scalar_dof_indices]                  # (F, 3c, 9)
     lap = np.matmul(ops.divergence, loc.transpose(0, 2, 1))   # (F, 3v, 3c)
     weight = alpha * ops.areas / 3.0

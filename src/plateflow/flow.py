@@ -19,12 +19,12 @@ the mesh's vertex graph, which numbers the free vertices and the free dofs,
 and the factorization.  Every step scatters the blocks of the reduced matrix
 into the storage of its envelope and factors it there on one BLAS thread,
 with a blocked Cholesky whose panels update only the rows their envelope
-reaches.  A step computes the basis and the degeneracy check
-in one pass over the nodal frames, then the blocks, and factors.  The new
-iterate is then evaluated once, into its state (`GradientFlow._evaluate`):
-its energies, its defects, and r_nl + r_pen, which the next step takes as its
-explicit data.  The iteration stops when ||grad theta(d_t y)|| drops below
-eps_stop.
+reaches.  Each iterate is evaluated once, from itself alone, into its state
+(`GradientFlow._evaluate`): one pass over its nodal frames gives its defect,
+its curvature normals, and the basis and degeneracy check of the next step,
+which takes K y and r_nl + r_pen as its explicit data.  So a resumed run
+repeats the states of the run it resumes.  The iteration stops when
+||grad theta(d_t y)|| drops below eps_stop.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import energy as en
-from .constraints import ConstraintDegeneracyError, isometry_defect, tangent_basis
+from .constraints import (ConstraintDegeneracyError, nodal_frames, nodal_isometry_defects,
+                          tangent_basis)
 from .dkt import DeformationField, element_operators, flat_embedding
 from .energy import SimulationParams
 from .linsolve import SaddleSolveError, TangentSystem, vertex_pair_blocks
@@ -69,12 +70,14 @@ class FlowState:
     delta_iso: float
     delta_pen: float
     update_norm: float
-    history: list
+    history: list      # the run's records, appended by `GradientFlow.run`
     constraint_residual: float
-    # cached at y, reused as the explicit data of the next step: K y and the
-    # explicit right-hand side r_nl(y) (+ r_pen(y))
+    # the next step's data, computed from y: K y, r_nl(y) (+ r_pen(y)), and the
+    # kernel blocks of the free vertices with their smallest singular value
     Ky: np.ndarray
     explicit_rhs: np.ndarray
+    basis: np.ndarray
+    min_singular_value: float
 
 
 @dataclass
@@ -89,8 +92,8 @@ class RunReport:
     last_update_norm: float
     initial_energy: float
     wall_time: float
-    mismatch_constant: float = 0.0   # alpha^2 |omega|, not part of E
-    termination_detail: str = ""     # the solver or degeneracy error message
+    mismatch_constant: float     # alpha^2 |omega|, not part of E
+    termination_detail: str      # the solver or degeneracy error message
 
     @property
     def converged(self) -> bool:
@@ -142,19 +145,24 @@ class GradientFlow:
 
     # -- state bookkeeping ---------------------------------------------------
 
-    def _evaluate(self, k: int, y: DeformationField, Ky: np.ndarray, update_norm: float,
-                  residual: float, history: list) -> FlowState:
-        """The state at the iterate y, from one pass over it.
+    def _evaluate(self, k: int, y: DeformationField, update_norm: float, residual: float,
+                  history: list) -> FlowState:
+        """The state at the iterate y, from y alone, with one pass over its frames.
 
-        Its Lyapunov value E (+ penalty) takes E from the cached K y, the
-        spontaneous-curvature term and the force; its explicit rhs
-        r_nl(y) (+ r_pen(y)) is the next step's data.  For alpha = 0 the
-        curvature terms vanish identically and are not evaluated.
+        Its Lyapunov value E (+ penalty) takes E from K y, the
+        spontaneous-curvature term and the force; K y, its explicit rhs
+        r_nl(y) (+ r_pen(y)) and its basis are the next step's data.  For
+        alpha = 0 the curvature terms vanish identically and are not evaluated.
         """
         p = self.params
+        grads = y.gradients()
+        frames = nodal_frames(grads)
+        Q, sigma = tangent_basis(grads[self.free_vertices],
+                                 [part[self.free_vertices] for part in frames])
+        Ky = self.K @ y.dofs
         e = 0.5 * float(y.dofs @ Ky)
         if p.alpha:
-            curvature, rhs = en.curvature_terms(self.mesh, y, p.alpha, self.ops)
+            curvature, rhs = en.curvature_terms(self.mesh, y, p.alpha, self.ops, frames)
             e -= curvature
         else:
             rhs = np.zeros(y.dofs.size)
@@ -166,37 +174,36 @@ class GradientFlow:
                                              p.obstacle_height)
             rhs[6::9] += r3
         return FlowState(k=k, y=y, energy=e + pen, penalty_energy=pen,
-                         delta_iso=isometry_defect(y), delta_pen=dpen,
-                         update_norm=update_norm, history=history,
-                         constraint_residual=residual, Ky=Ky, explicit_rhs=rhs)
+                         delta_iso=float(nodal_isometry_defects(frames).max()),
+                         delta_pen=dpen, update_norm=update_norm, history=history,
+                         constraint_residual=residual, Ky=Ky, explicit_rhs=rhs,
+                         basis=Q, min_singular_value=float(sigma.min()))
 
     def initial_state(self, y0: DeformationField | None = None) -> FlowState:
         y = y0 if y0 is not None else flat_embedding(self.mesh)
         if y.dofs.size != 9 * self.mesh.num_vertices:
             raise ValueError("initial field does not match the mesh")
-        return self._evaluate(0, y, self.K @ y.dofs, np.inf, 0.0, [])
+        return self._evaluate(0, y, np.inf, 0.0, [])
 
     # -- one pseudo-time step -------------------------------------------------
 
     def step(self, state: FlowState) -> FlowState:
-        p = self.params
+        """The state after one step from `state`, which it leaves unchanged."""
         y = state.y
-
-        g = y.gradients()[self.free_vertices]     # (n, 3, 2): columns a1, a2
-        Q, sigma = tangent_basis(g)
-        smin = float(sigma.min())
+        smin = state.min_singular_value
         if smin <= MIN_BLOCK_SINGULAR_VALUE:
             raise ConstraintDegeneracyError(
                 f"nodal constraint block degenerated (min singular value {smin:.3e}); "
                 "the nodal gradients are no longer near-isometric")
 
         rhs = state.explicit_rhs + self.force_rhs - state.Ky
-        d_f = self.system.solve(Q, rhs[self.free])
+        d_f = self.system.solve(state.basis, rhs[self.free])
 
         d = np.zeros(y.dofs.size)
         d[self.free] = d_f
         scale = max(float(np.abs(d_f).max(initial=0.0)), 1e-300)
         # the linearized constraint C_z grad(d) at each free vertex
+        g = y.gradients()[self.free_vertices]     # (n, 3, 2): columns a1, a2
         a1, a2 = g[:, :, 0], g[:, :, 1]
         d1, d2 = d_f.reshape(-1, 3, 3)[:, :, 1], d_f.reshape(-1, 3, 3)[:, :, 2]
         rows = np.stack([a1 * d1, a2 * d2, a2 * d1 + a1 * d2]).sum(axis=2)
@@ -204,11 +211,8 @@ class GradientFlow:
 
         Kd = self.K @ d
         update_norm = float(np.sqrt(max(d @ Kd, 0.0)))
-        new = self._evaluate(state.k + 1, DeformationField(y.dofs + p.tau * d),
-                             state.Ky + p.tau * Kd, update_norm, residual, state.history)
-        new.history.append(HistoryRecord(new.k, new.energy, new.penalty_energy,
-                                         new.delta_iso, new.delta_pen, new.update_norm))
-        return new
+        return self._evaluate(state.k + 1, DeformationField(y.dofs + self.params.tau * d),
+                              update_norm, residual, state.history)
 
     # -- full iteration --------------------------------------------------------
 
@@ -219,7 +223,8 @@ class GradientFlow:
 
         Returns (report, final_state).  Solver failures and constraint
         degeneracy terminate the run with the matching reason instead of
-        raising.  `on_step` sees every new state (logging, snapshots).
+        raising.  `on_step` sees every new state (logging, snapshots), after
+        its record is appended to the history.
         """
         t0 = time.perf_counter()
         state = self.initial_state(y0)
@@ -234,6 +239,9 @@ class GradientFlow:
             except ConstraintDegeneracyError as exc:
                 reason, detail = "degeneracy", str(exc)
                 break
+            state.history.append(HistoryRecord(state.k, state.energy, state.penalty_energy,
+                                               state.delta_iso, state.delta_pen,
+                                               state.update_norm))
             if on_step is not None:
                 on_step(state)
             if state.update_norm <= self.params.eps_stop:

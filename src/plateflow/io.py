@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import nodal_isometry_defects
+from .constraints import nodal_frames, nodal_isometry_defects
 from .dkt import DeformationField
 from .flow import HistoryRecord, RunReport
 from .mesh import RECTANGLE_BOUNDS, TriangleMesh
@@ -64,7 +64,7 @@ def write_vtk_surface(field: DeformationField, mesh: TriangleMesh, path,
     magnitude and the obstacle penetration (y3 - height)_+.
     """
     pos = field.positions()
-    defect = nodal_isometry_defects(field)
+    defect = nodal_isometry_defects(nodal_frames(field.gradients()))
     pen = np.maximum(pos[:, 2] - obstacle_height, 0.0)
     nv = mesh.num_vertices
     nt = mesh.num_triangles
@@ -90,7 +90,7 @@ def write_vtk_surface(field: DeformationField, mesh: TriangleMesh, path,
             f.write(f"{v:.12g}\n")
 
 
-def write_report(report: RunReport, path, config_echo: dict | None = None) -> None:
+def write_report(report: RunReport, path, config_echo: dict) -> None:
     """Key-value run summary mirroring the benchmark tables."""
     lines = [
         ("iterations", report.iterations),
@@ -110,7 +110,7 @@ def write_report(report: RunReport, path, config_echo: dict | None = None) -> No
     with open(path, "w") as f:
         for key, value in lines:
             f.write(f"{key}: {value}\n")
-        for key, value in (config_echo or {}).items():
+        for key, value in config_echo.items():
             f.write(f"config.{key}: {value}\n")
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from plateflow import dkt, energy as en, mesh as pm
-from plateflow.constraints import tangent_basis
+from plateflow import constraints as cn, dkt, energy as en, linsolve, mesh as pm
 from plateflow.linsolve import _BLOCK_COLS as BLOCK_COLS, _BLOCK_ROWS as BLOCK_ROWS
 
 EPS = np.finfo(np.float64).eps
@@ -68,6 +67,34 @@ def interpolate_dkt(mesh, y, grad_y):
     grads = np.asarray(grad_y(pts), dtype=np.float64).reshape(-1, 3, 2)
     dofs = np.concatenate([vals[:, :, None], grads], axis=2)
     return dkt.DeformationField(dofs.reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# the program's evaluations in their one-argument forms: each computes the
+# data that the flow passes in, the element operators, the vertex pairs and
+# the nodal frames, from the mesh or the field alone
+
+def bending_stiffness(mesh):
+    """K of `assemble_bending_stiffness`, from the mesh's own vertex pairs."""
+    pairs = linsolve.vertex_pair_blocks(mesh.triangles, dkt.element_operators(mesh).bending)
+    return en.assemble_bending_stiffness(mesh, pairs)
+
+
+def curvature_terms(mesh, field, alpha, ops=None):
+    """`energy.curvature_terms` with the element operators of the mesh unless
+    given, and the nodal frames of the field."""
+    ops = dkt.element_operators(mesh) if ops is None else ops
+    return en.curvature_terms(mesh, field, alpha, ops, cn.nodal_frames(field.gradients()))
+
+
+def tangent_basis(grads):
+    """`constraints.tangent_basis` of the nodal gradients (n, 3, 2) alone."""
+    return cn.tangent_basis(grads, cn.nodal_frames(grads))
+
+
+def isometry_defect(field):
+    """Max over vertices of the Frobenius norm of grad(y)^T grad(y) - I."""
+    return float(cn.nodal_isometry_defects(cn.nodal_frames(field.gradients())).max())
 
 
 def random_field(mesh, rng, scale=1.0, clamp=False):
@@ -216,7 +243,7 @@ def einsum_element_operators(mesh):
     """The bending blocks sum_c Gc^T S Gc, Gc the rows of the theta-component
     c, and the Laplacians D = div(theta) at the vertices."""
     coords = mesh.triangle_coords()
-    Gc = dkt.dkt_gradient_matrices(coords).reshape(-1, 6, 2, 9)
+    Gc = dkt._dkt_gradient_matrices(coords).reshape(-1, 6, 2, 9)
     K9 = np.einsum("fnce,fnm,fmcd->fed", Gc, einsum_stiffness(coords), Gc, optimize=True)
     grads = einsum_physical_gradients(coords, dkt.P2_NODES_BARY[:3])
     return K9, np.einsum("fpnc,fncd->fpd", grads, Gc)
@@ -411,7 +438,7 @@ def total_energy(mesh, field, params, K=None, ops=None):
             ops = dkt.element_operators(mesh)
         loc = field.dofs[ops.scalar_dof_indices]
         bend = 0.5 * float(np.einsum("fcl,flm,fcm->", loc, ops.bending, loc))
-    e = bend - en.curvature_terms(mesh, field, params.alpha, ops)[0]
+    e = bend - curvature_terms(mesh, field, params.alpha, ops)[0]
     if params.f is not None:
         e -= float(en.force_rhs(mesh, params.f) @ field.dofs)
     return e

@@ -13,8 +13,8 @@ from plateflow.dkt import DeformationField
 from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow
 
-from conftest import (TRI_QUAD_DEGREE5, CubicEvaluator, cylinder_map, interpolate_dkt,
-                      random_field, random_quadratic, read_report)
+from conftest import (TRI_QUAD_DEGREE5, CubicEvaluator, curvature_terms, cylinder_map,
+                      interpolate_dkt, random_field, random_quadratic, read_report)
 from test_dkt import reconstruction_hessians
 
 OSHAPE_CLAMP = [((-5.0, -2.0), (-5.0, -1.0)), ((-5.0, -2.0), (-4.0, -2.0))]
@@ -90,7 +90,7 @@ def penalized_l2_run():
 @pytest.mark.acceptance
 def test_criterion_1_operator_exactness():
     mesh = pm.generate_rectangle_mesh(2, "symmetric")
-    G6 = dkt.dkt_gradient_matrices(mesh.triangle_coords()).reshape(-1, 6, 2, 9)
+    G6 = dkt._dkt_gradient_matrices(mesh.triangle_coords()).reshape(-1, 6, 2, 9)
     nodes = np.einsum("pn,fnd->fpd", dkt.P2_NODES_BARY, mesh.triangle_coords())
     indices = dkt.element_operators(mesh).scalar_dof_indices
     rng = np.random.default_rng(2024)
@@ -141,7 +141,7 @@ def test_criterion_3_gradient_oracle():
     rng = np.random.default_rng(31)
     field = random_field(mesh, rng, scale=0.5)
     alpha = 1.7
-    r = en.curvature_terms(mesh, field, alpha)[1]
+    r = curvature_terms(mesh, field, alpha)[1]
     step = 1e-4 * np.abs(field.dofs).max()
     worst = 0.0
     for _ in range(20):
@@ -149,8 +149,8 @@ def test_criterion_3_gradient_oracle():
         w /= np.linalg.norm(w)
         fp = DeformationField(field.dofs + step * w)
         fm = DeformationField(field.dofs - step * w)
-        fd = (en.curvature_terms(mesh, fp, alpha)[0]
-              - en.curvature_terms(mesh, fm, alpha)[0]) / (2 * step)
+        fd = (curvature_terms(mesh, fp, alpha)[0]
+              - curvature_terms(mesh, fm, alpha)[0]) / (2 * step)
         worst = max(worst, abs(fd - r @ w) / max(abs(fd), 1.0))
     check("3 (assembled derivative vs finite differences)", worst <= 1e-6,
           f"max relative error {worst:.3e} over 20 directions (tol 1e-6)")

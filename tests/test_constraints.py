@@ -5,14 +5,14 @@ from plateflow import constraints as cn
 from plateflow.dkt import DeformationField, flat_embedding
 
 from conftest import (GRAD_DOFS, constraint_blocks, cylinder_map, dense_basis,
-                      interpolate_dkt, random_field)
+                      interpolate_dkt, isometry_defect, random_field, tangent_basis)
 
 
 def test_flat_constraint_rows(rect_l2_clamped):
     m = rect_l2_clamped
     free = m.free_vertices
     y = flat_embedding(m)
-    Q, sigma = cn.tangent_basis(y.gradients()[free])
+    Q, sigma = tangent_basis(y.gradients()[free])
     assert Q.shape == (len(free), 3, 2, 3)
     # at a flat vertex the kernel reads d1w1 = 0, d2w2 = 0, d1w2 + d2w1 = 0:
     # it is spanned by d1w3, d2w3 and (d2w1 - d1w2) / sqrt(2)
@@ -50,7 +50,7 @@ def test_kernel_is_linearized_isometry(rect_l2_clamped):
     assert np.allclose(res[:, 0], 0.5 * sym[free, 0, 0], atol=1e-12)
     assert np.allclose(res[:, 1], 0.5 * sym[free, 1, 1], atol=1e-12)
     assert np.allclose(res[:, 2], sym[free, 0, 1], atol=1e-12)
-    Q = cn.tangent_basis(gy[free])[0].reshape(-1, 6, 3)
+    Q = tangent_basis(gy[free])[0].reshape(-1, 6, 3)
     for b in range(len(free)):
         assert np.abs(blocks[b] @ Q[b]).max() <= 1e-14 * np.abs(blocks[b]).max()
         assert np.abs(Q[b].T @ Q[b] - np.eye(3)).max() <= 1e-14
@@ -82,7 +82,7 @@ def test_block_singular_values_near_isometry(rect_l2_clamped):
         dofs[:, :, 1] = a
         dofs[:, :, 2] = b
         field = DeformationField(dofs.reshape(-1))
-        assert cn.tangent_basis(field.gradients()[free])[1].min() >= 0.5
+        assert tangent_basis(field.gradients()[free])[1].min() >= 0.5
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
@@ -95,7 +95,7 @@ def test_smallest_singular_values_match_svd(rect_l2_clamped, scale):
         y = random_field(m, rng, scale=scale)
         blocks = constraint_blocks(y, free)
         reference = np.linalg.svd(blocks, compute_uv=False)[:, 2]
-        closed = cn.tangent_basis(y.gradients()[free])[1]
+        closed = tangent_basis(y.gradients()[free])[1]
         assert np.abs(closed - reference).max() <= 1e-13 * np.abs(blocks).max()
 
 
@@ -105,8 +105,8 @@ def test_smallest_singular_values_vanish_for_parallel_columns():
     g[:, :, 1] = g[:, :, 0]
     norm = np.abs(g).max(axis=(1, 2))
     # the eigenvalue is zero up to its rounding, eps |C|^2; sigma its root
-    assert (cn.tangent_basis(g)[1] <= 1e-7 * norm).all()
-    assert (cn.tangent_basis(np.zeros((3, 3, 2)))[1] == 0.0).all()
+    assert (tangent_basis(g)[1] <= 1e-7 * norm).all()
+    assert (tangent_basis(np.zeros((3, 3, 2)))[1] == 0.0).all()
 
 
 def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
@@ -119,10 +119,10 @@ def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
     rng = np.random.default_rng(139)
     v = random_field(m, rng)
     for y in (flat_embedding(m), random_field(m, rng)):
-        Q0 = cn.tangent_basis(y.gradients()[free])[0]
+        Q0 = tangent_basis(y.gradients()[free])[0]
         ratios = []
         for t in (1e-2, 1e-4, 1e-6):
-            Qt = cn.tangent_basis((y.dofs + t * v.dofs).reshape(-1, 3, 3)[free, :, 1:])[0]
+            Qt = tangent_basis((y.dofs + t * v.dofs).reshape(-1, 3, 3)[free, :, 1:])[0]
             ratios.append(np.abs(Qt - Q0).max() / t)
         assert max(ratios) <= 2 * min(ratios)
         # the difference quotients converge, to the derivative of the basis
@@ -130,13 +130,13 @@ def test_basis_is_lipschitz_in_the_field(rect_l2_clamped):
 
 
 def test_isometry_defect_values(rect_l2):
-    assert cn.isometry_defect(flat_embedding(rect_l2)) == 0.0
+    assert isometry_defect(flat_embedding(rect_l2)) == 0.0
     y, grad, _ = cylinder_map(2.5)
-    assert cn.isometry_defect(interpolate_dkt(rect_l2, y, grad)) <= 1e-14
+    assert isometry_defect(interpolate_dkt(rect_l2, y, grad)) <= 1e-14
     # a known stretched state: grad = diag(2, 1) has defect |[3,0;0,0]| = 3
     stretched = flat_embedding(rect_l2)
     stretched.nodal()[:, 0, 1] = 2.0
-    assert np.isclose(cn.isometry_defect(stretched), 3.0)
+    assert np.isclose(isometry_defect(stretched), 3.0)
 
 
 def test_apply_dirichlet_identity_data(rect_l2_clamped):

@@ -5,10 +5,11 @@ from plateflow import dkt, energy as en, mesh as pm
 from plateflow.dkt import flat_embedding
 from plateflow.energy import SimulationParams
 
-from conftest import (EPS, coo_bending_stiffness, cylinder_map, flat_energy_rounding_scale,
-                      interpolate_dkt, lumped_p1_integral, nonlinear_energy_term,
-                      nonlinear_rhs, obstacle_penetration, penalty_energy, penalty_pieces,
-                      penalty_rhs, random_field, residual_rounding_scale, total_energy)
+from conftest import (EPS, bending_stiffness, coo_bending_stiffness, curvature_terms,
+                      cylinder_map, flat_energy_rounding_scale, interpolate_dkt,
+                      lumped_p1_integral, nonlinear_energy_term, nonlinear_rhs,
+                      obstacle_penetration, penalty_energy, penalty_pieces, penalty_rhs,
+                      random_field, residual_rounding_scale, total_energy)
 
 
 def test_params_validation():
@@ -25,6 +26,10 @@ def test_params_validation():
         with pytest.raises(ValueError, match="eps_penalty"):
             SimulationParams(eps_penalty=eps)
     assert not SimulationParams(alpha=0.5, tau=0.1).penalized
+    # the obstacle height is a constant of every run, not a parameter
+    with pytest.raises(TypeError):
+        SimulationParams(obstacle_height=2.0)
+    assert SimulationParams().obstacle_height == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +41,7 @@ def test_stiffness_annihilates_flat_state(rect_l2, rect_l2_symmetric):
     # 0.8 eps |K| |y| on levels 1-3, both patterns); a flat field with one
     # out-of-plane slope of 1e-3 stays far above that bound
     for mesh in (rect_l2, rect_l2_symmetric):
-        K = en.assemble_bending_stiffness(mesh).tocsr()
+        K = bending_stiffness(mesh).tocsr()
         flat = flat_embedding(mesh)
         bound = np.diff(K.indptr).max() * residual_rounding_scale(K, flat)
         assert (np.abs(K @ flat.dofs) <= bound).all()
@@ -55,7 +60,7 @@ def test_stiffness_matches_coo_assembly(domain, pattern, level):
     # order of summation
     generate = pm.generate_rectangle_mesh if domain == "rectangle" else pm.generate_oshape_mesh
     mesh = generate(level, pattern)
-    K = en.assemble_bending_stiffness(mesh)
+    K = bending_stiffness(mesh)
     expected = coo_bending_stiffness(mesh)
     assert K.has_sorted_indices
     assert np.array_equal(K.indptr, expected.indptr)
@@ -64,14 +69,14 @@ def test_stiffness_matches_coo_assembly(domain, pattern, level):
 
 
 def test_stiffness_symmetry(rect_l2):
-    K = en.assemble_bending_stiffness(rect_l2)
+    K = bending_stiffness(rect_l2)
     assert abs(K - K.T).max() <= 1e-12
 
 
 def test_stiffness_matches_element_sum(rect_l2):
     rng = np.random.default_rng(23)
     field = random_field(rect_l2, rng)
-    K = en.assemble_bending_stiffness(rect_l2)
+    K = bending_stiffness(rect_l2)
     quad = 0.5 * float(field.dofs @ (K @ field.dofs))
     ops = dkt.element_operators(rect_l2)
     loc = field.dofs[ops.scalar_dof_indices]
@@ -80,7 +85,7 @@ def test_stiffness_matches_element_sum(rect_l2):
 
 
 def test_stiffness_sparsity_is_local(rect_l2):
-    K = en.assemble_bending_stiffness(rect_l2).tocoo()
+    K = bending_stiffness(rect_l2).tocoo()
     tri = rect_l2.triangles
     neighbors = {v: {v} for v in range(rect_l2.num_vertices)}
     for t in tri:
@@ -94,7 +99,7 @@ def test_stiffness_sparsity_is_local(rect_l2):
 # nonlinear spontaneous-curvature term
 
 def test_nonlinear_term_zero_on_flat(rect_l2):
-    assert en.curvature_terms(rect_l2, flat_embedding(rect_l2), 2.5)[0] == 0.0
+    assert curvature_terms(rect_l2, flat_embedding(rect_l2), 2.5)[0] == 0.0
 
 
 def test_nonlinear_term_cylinder_value():
@@ -106,7 +111,7 @@ def test_nonlinear_term_cylinder_value():
     for level in (2, 3):
         m = pm.generate_rectangle_mesh(level)
         field = interpolate_dkt(m, y, grad)
-        vals.append(en.curvature_terms(m, field, alpha)[0])
+        vals.append(curvature_terms(m, field, alpha)[0])
     target = alpha**2 * 40.0
     assert abs(vals[1] - target) < 0.7 * abs(vals[0] - target) + 1e-12
     assert abs(vals[1] - target) < 0.02 * target
@@ -119,8 +124,8 @@ def test_nonlinear_term_odd_under_reflection(rect_l2):
     flipped = field.copy()
     nod = flipped.nodal()
     nod[:, 2, :] *= -1.0
-    v1 = en.curvature_terms(rect_l2, field, 1.3)[0]
-    v2 = en.curvature_terms(rect_l2, flipped, 1.3)[0]
+    v1 = curvature_terms(rect_l2, field, 1.3)[0]
+    v2 = curvature_terms(rect_l2, flipped, 1.3)[0]
     assert np.isclose(v1, -v2, rtol=1e-12)
 
 
@@ -128,15 +133,15 @@ def test_nonlinear_rhs_matches_finite_differences(rect_l2):
     rng = np.random.default_rng(31)
     field = random_field(rect_l2, rng, scale=0.5)
     alpha = 1.7
-    r = en.curvature_terms(rect_l2, field, alpha)[1]
+    r = curvature_terms(rect_l2, field, alpha)[1]
     step = 1e-4 * max(np.abs(field.dofs).max(), 1.0)
     for _ in range(20):
         w = rng.standard_normal(field.dofs.size)
         w /= np.linalg.norm(w)
         fp = dkt.DeformationField(field.dofs + step * w)
         fm = dkt.DeformationField(field.dofs - step * w)
-        fd = (en.curvature_terms(rect_l2, fp, alpha)[0]
-              - en.curvature_terms(rect_l2, fm, alpha)[0]) / (2 * step)
+        fd = (curvature_terms(rect_l2, fp, alpha)[0]
+              - curvature_terms(rect_l2, fm, alpha)[0]) / (2 * step)
         assert abs(fd - r @ w) <= 1e-6 * max(abs(fd), 1.0)
 
 
@@ -146,7 +151,7 @@ def test_nonlinear_rhs_flat_state_hits_third_component(rect_l2):
     # alpha * lumped integral of lap_h(w) . e3
     alpha = 0.8
     flat = flat_embedding(rect_l2)
-    r = en.curvature_terms(rect_l2, flat, alpha)[1]
+    r = curvature_terms(rect_l2, flat, alpha)[1]
     rng = np.random.default_rng(37)
     ops = dkt.element_operators(rect_l2)
     for _ in range(5):
@@ -161,7 +166,7 @@ def test_nonlinear_rhs_vanishes_on_valueless_flat_patch(rect_l2):
     # base, and its reconstruction is constant per component: no contribution
     alpha = 1.1
     flat = flat_embedding(rect_l2)
-    r = en.curvature_terms(rect_l2, flat, alpha)[1]
+    r = curvature_terms(rect_l2, flat, alpha)[1]
     rng = np.random.default_rng(41)
     w = np.zeros(9 * rect_l2.num_vertices)
     w[0::9] = rng.standard_normal(rect_l2.num_vertices)
@@ -181,7 +186,7 @@ def test_curvature_terms_match_separate_evaluations(level, pattern):
     for _ in range(4):
         field = random_field(m, rng, scale=rng.uniform(0.1, 10.0))
         alpha = rng.uniform(0.1, 3.0)
-        value, r = en.curvature_terms(m, field, alpha, ops)
+        value, r = curvature_terms(m, field, alpha, ops)
         reference = nonlinear_energy_term(m, field, alpha, ops)
         assert abs(value - reference) <= 1e-13 * abs(reference)
         reference = nonlinear_rhs(m, field, alpha, ops)
@@ -194,7 +199,7 @@ def test_curvature_derivative_along_the_field(rect_l2):
     rng = np.random.default_rng(167)
     for _ in range(5):
         field = random_field(rect_l2, rng, scale=rng.uniform(0.1, 10.0))
-        value, r = en.curvature_terms(rect_l2, field, 1.9)
+        value, r = curvature_terms(rect_l2, field, 1.9)
         scale = np.abs(r) @ np.abs(field.dofs)
         assert abs(r @ field.dofs - 3.0 * value) <= 8 * EPS * scale
 
@@ -242,7 +247,7 @@ def test_total_energy_flat_zero(rect_l2, rect_l2_symmetric):
         bent = flat.copy()
         centre = int(np.argmin(np.linalg.norm(mesh.vertices, axis=1)))
         bent.nodal()[centre, 2, 1] += 1e-3
-        K = en.assemble_bending_stiffness(mesh)
+        K = bending_stiffness(mesh)
         for path_K in (None, K):
             assert abs(total_energy(mesh, flat, params, K=path_K)) <= bound
             assert total_energy(mesh, bent, params, K=path_K) >= 100 * bound
@@ -268,8 +273,8 @@ def test_total_energy_gradient_consistency(rect_l2):
     rng = np.random.default_rng(47)
     field = random_field(rect_l2, rng, scale=0.5)
     params = SimulationParams(alpha=1.2, tau=0.1, f=(0.0, 0.0, 2e-3))
-    K = en.assemble_bending_stiffness(rect_l2)
-    grad_vec = (K @ field.dofs - en.curvature_terms(rect_l2, field, params.alpha)[1]
+    K = bending_stiffness(rect_l2)
+    grad_vec = (K @ field.dofs - curvature_terms(rect_l2, field, params.alpha)[1]
                 - en.force_rhs(rect_l2, params.f))
     step = 1e-4 * np.abs(field.dofs).max()
     for _ in range(10):

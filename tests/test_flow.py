@@ -8,16 +8,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky_banded
 
-from plateflow import energy, flow as flow_module, linsolve, mesh as pm
-from plateflow.constraints import isometry_defect, tangent_basis
+from plateflow import constraints, energy, flow as flow_module, linsolve, mesh as pm
 from plateflow.dkt import flat_embedding, vertex_lumped_masses
 from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, step_size_safeguard
 from plateflow.presets import RunConfig, resolve
 
-from conftest import (dense_basis, flat_update_rounding_scale, obstacle_penetration,
-                      penalty_energy, penalty_rhs, random_field, reduced_matrix, stored_lower,
-                      total_energy)
+from conftest import (dense_basis, flat_update_rounding_scale, isometry_defect,
+                      obstacle_penetration, penalty_energy, penalty_rhs, random_field,
+                      reduced_matrix, stored_lower, tangent_basis, total_energy)
 
 
 def small_oshape():
@@ -197,6 +196,62 @@ def test_steps_meet_solver_contract(case, rect_l2_clamped):
         assert report.termination_reason == "max_iters"
         assert report.iterations == steps
         assert state.update_norm > 0 and state.constraint_residual <= 1e-12
+
+
+# the data a state holds for the next step, and its values
+STATE_DATA = ("energy", "Ky", "explicit_rhs", "basis", "min_singular_value", "delta_iso")
+
+
+def preset_flow(experiment):
+    run = resolve(RunConfig(experiment=experiment, level=1))
+    return GradientFlow(run.mesh, run.params), run.initial
+
+
+@pytest.mark.parametrize("experiment", ["oshape", "obstacle"])
+def test_stepped_state_is_the_state_of_its_iterate(experiment):
+    # a state depends on its iterate alone, not on the steps that reached
+    # it: evaluating the iterate of 50 steps afresh gives the stepped state
+    flow, y0 = preset_flow(experiment)
+    state = flow.initial_state(y0)
+    for _ in range(50):
+        state = flow.step(state)
+    fresh = flow.initial_state(state.y)
+    for name in STATE_DATA:
+        assert np.array_equal(getattr(fresh, name), getattr(state, name)), name
+
+
+@pytest.mark.parametrize("experiment", ["oshape", "obstacle"])
+def test_step_leaves_its_state_unchanged(experiment):
+    # stepping one state twice gives the same state bit for bit, and leaves
+    # the state's field and history as they were
+    flow, y0 = preset_flow(experiment)
+    state = flow.step(flow.step(flow.initial_state(y0)))
+    dofs, history = state.y.dofs.copy(), list(state.history)
+    first, second = flow.step(state), flow.step(state)
+    assert state.history == history
+    assert np.array_equal(state.y.dofs, dofs)
+    assert np.array_equal(first.y.dofs, second.y.dofs)
+    for name in STATE_DATA + ("k", "update_norm", "constraint_residual", "delta_pen"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+
+@pytest.mark.parametrize("experiment", ["oshape", "obstacle"])
+def test_each_iterate_reads_its_frames_once(monkeypatch, experiment):
+    # one pass over the nodal frames serves the defect, the curvature
+    # normals and the basis: one call for the initial state and one per step
+    calls, frames = [], constraints.nodal_frames
+
+    def counted(*args):
+        calls.append(args)
+        return frames(*args)
+
+    for module in (constraints, flow_module):
+        monkeypatch.setattr(module, "nodal_frames", counted)
+    flow, y0 = preset_flow(experiment)
+    state = flow.initial_state(y0)
+    assert len(calls) == 1
+    flow.step(state)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

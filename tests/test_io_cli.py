@@ -266,6 +266,27 @@ def test_cli_resume_roundtrip(tmp_path):
     assert float(r2["initial_energy"]) < -1.0
 
 
+@pytest.mark.parametrize("experiment", ["oshape", "obstacle"])
+def test_cli_resume_repeats_the_uninterrupted_run(tmp_path, experiment):
+    # a state is a function of its iterate alone, so 200 steps, then 200
+    # more from their checkpoint, end in the field of 400 steps straight and
+    # repeat the last 200 rows of their history bit for bit
+    def cli(name, steps, *extra):
+        assert main(["--experiment", experiment, "--level", "1", "--max-iters", str(steps),
+                     "--vtk-every", "0", "--out", str(tmp_path / name), *extra]) == 0
+        return tmp_path / name
+
+    straight = cli("straight", 400)
+    first = cli("first", 200)
+    resumed = cli("resumed", 200, "--resume", str(first / "checkpoint.field"))
+    assert ((resumed / "checkpoint.field").read_bytes()
+            == (straight / "checkpoint.field").read_bytes())
+    whole = read_history_csv(straight / "history.csv")
+    tail = read_history_csv(resumed / "history.csv")
+    for name in ("energy", "penalty_energy", "delta_iso", "delta_pen", "update_norm"):
+        assert np.array_equal(tail[name], whole[name][200:]), name
+
+
 def test_cli_reports_failure_detail(tmp_path, capsys, monkeypatch):
     # the message of a solver failure reaches report.txt and the console
     from plateflow import linsolve

@@ -6,10 +6,9 @@ import pytest
 from scipy.linalg import cython_lapack
 
 from plateflow import linsolve
-from plateflow.constraints import tangent_basis
 from plateflow.linsolve import SaddleSolveError, TangentSystem, vertex_pair_blocks
 
-from conftest import GRAD_DOFS, dense_basis, reduced_matrix, stored_lower
+from conftest import GRAD_DOFS, dense_basis, reduced_matrix, stored_lower, tangent_basis
 
 
 def dense_kkt_oracle(A, B, rhs):
