@@ -69,34 +69,28 @@ class SimulationParams:
 
 
 def assemble_bending_stiffness(mesh: TriangleMesh, pairs) -> sp.csr_matrix:
-    """Global symmetric matrix K with 1/2 y^T K y = 1/2 ||grad theta(y)||^2.
+    """The scalar stiffness K_s, (3V, 3V): 1/2 ||grad theta(y)||^2 =
+    1/2 sum_c y_c^T K_s y_c, with y_c the dofs 3 v + k of component c of y.
 
-    K couples the dofs 9 i + 3 c + k and 9 j + 3 c + l of two vertices that
-    share a triangle through entry (k, l) of the summed element block S_ij
-    of the pair, for each component c.  The pairs (rows, cols, blocks) are
-    those of `vertex_pair_blocks` on the element bending blocks.  The CSR
-    pattern is written in sorted order from the pairs.
+    K_s couples the dofs 3 i + k and 3 j + l of two vertices that share a
+    triangle through entry (k, l) of the summed element block S_ij of the
+    pair.  The pairs (rows, cols, blocks) are those of `vertex_pair_blocks`
+    on the element bending blocks.
     """
-    V = mesh.num_vertices
     # the pairs (i, j) sorted by column j, then row i, are the pairs (j, i)
     # sorted by row, then column, whose block is S_ij^T
-    cols, rows, blocks = pairs
-    num_pairs = len(rows)
-    degree = np.bincount(rows, minlength=V)
-    first = np.concatenate([[0], np.cumsum(degree)[:-1]])
-    # row 9 v + 3 c + k holds three entries for each pair of v in turn
-    indptr = np.append(27 * first[:, None] + 3 * degree[:, None] * np.arange(9),
-                       27 * num_pairs)
-    # the triple of entries (l) of each (pair, 3 c + k), as rows of 3
-    triples = (indptr[:-1].reshape(V, 9)[rows] // 3
-               + (np.arange(num_pairs) - first[rows])[:, None])
-    indices = np.empty((9 * num_pairs, 3), dtype=np.int32)
-    indices[triples] = (9 * cols[:, None, None] + np.arange(0, 9, 3).repeat(3)[:, None]
-                        + np.arange(3))
-    data = np.empty((9 * num_pairs, 3))
-    data[triples] = np.tile(blocks.transpose(0, 2, 1), (1, 3, 1))
-    return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr.astype(np.int32)),
-                         shape=(9 * V, 9 * V))
+    rows, cols, blocks = pairs
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=mesh.num_vertices))])
+    n = 3 * mesh.num_vertices
+    return sp.bsr_matrix((blocks.transpose(0, 2, 1), rows, indptr), shape=(n, n)).tocsr()
+
+
+def bending_product(K: sp.csr_matrix, dofs: np.ndarray) -> np.ndarray:
+    """K y for the scalar stiffness K of `assemble_bending_stiffness` applied
+    to each component of the dofs y (9 v + 3 c + k), in one product."""
+    V = K.shape[0] // 3
+    by_component = dofs.reshape(V, 3, 3).transpose(0, 2, 1).reshape(3 * V, 3)
+    return (K @ by_component).reshape(V, 3, 3).transpose(0, 2, 1).reshape(-1)
 
 
 def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,

@@ -7,8 +7,9 @@ per-vertex rotation basis at the previous iterate (see
 
     Z^T ((1 + tau) K (+ tau/eps M3)) Z u = Z^T (-K y + r_nl(y) + r_f (+ r_pen(y)))
 
-and updates y <- y + tau d.  K is the bending stiffness (assembled once), r_nl
-the explicitly treated spontaneous-curvature terms, and in the obstacle flow
+and updates y <- y + tau d.  K = kron(I_3, K_s) is the bending stiffness, kept
+as the scalar stiffness K_s (assembled once) of each component, r_nl the
+explicitly treated spontaneous-curvature terms, and in the obstacle flow
 M3/r_pen the implicit convex and explicit concave parts of the penalty (M3 the
 lumped mass on the third-component values).  The reduced matrix is symmetric
 positive definite, so a step is one sparse SPD solve.  Its pattern is the same
@@ -105,7 +106,7 @@ class RunReport:
         return self.energy + self.mismatch_constant
 
 
-def step_size_safeguard(params: SimulationParams, mesh: TriangleMesh) -> SimulationParams:
+def step_size_safeguard(params: SimulationParams, mesh: TriangleMesh) -> None:
     """Warn (never abort) when tau * |log h_min| exceeds 1.
 
     The sharp constant is unknown; this is an empirical guideline.  The
@@ -118,15 +119,14 @@ def step_size_safeguard(params: SimulationParams, mesh: TriangleMesh) -> Simulat
             f"tau * |log h_min| = {stiff:.3g} exceeds 1; energy decay of the "
             "isometry flow is only guaranteed for smaller steps",
             StepSizeWarning, stacklevel=2)
-    return params
 
 
 class GradientFlow:
     """Assembled operators of one flow configuration, stepped sequentially."""
 
     def __init__(self, mesh: TriangleMesh, params: SimulationParams):
-        self.mesh = mesh
-        self.params = step_size_safeguard(params, mesh)
+        step_size_safeguard(params, mesh)
+        self.mesh, self.params = mesh, params
         self.ops = element_operators(mesh)
         rows, cols, blocks = vertex_pair_blocks(mesh.triangles, self.ops.bending)
         self.K = en.assemble_bending_stiffness(mesh, (rows, cols, blocks))
@@ -159,7 +159,7 @@ class GradientFlow:
         frames = nodal_frames(grads)
         Q, sigma = tangent_basis(grads[self.free_vertices],
                                  [part[self.free_vertices] for part in frames])
-        Ky = self.K @ y.dofs
+        Ky = en.bending_product(self.K, y.dofs)
         e = 0.5 * float(y.dofs @ Ky)
         if p.alpha:
             curvature, rhs = en.curvature_terms(self.mesh, y, p.alpha, self.ops, frames)
@@ -209,7 +209,7 @@ class GradientFlow:
         rows = np.stack([a1 * d1, a2 * d2, a2 * d1 + a1 * d2]).sum(axis=2)
         residual = float(np.abs(rows).max(initial=0.0)) / scale
 
-        Kd = self.K @ d
+        Kd = en.bending_product(self.K, d)
         update_norm = float(np.sqrt(max(d @ Kd, 0.0)))
         return self._evaluate(state.k + 1, DeformationField(y.dofs + self.params.tau * d),
                               update_norm, residual, state.history)

@@ -167,16 +167,16 @@ class _BandCholesky:
     segment holds the ld + 1 entries (j, j) to (j + ld, j) and the next column
     follows it, so in the dense view of the segment, with leading dimension
     ld, entry (i, j) lies i - j entries after the start of column j.  The ld
-    of a segment is the deepest dense view of its panels, and a segment
-    closes after the first panel that gives it more columns than its ld.  The
-    reach of the columns never decreases, so the first panel of the next
-    segment reaches every row that the trailing block of a panel reaches:
-    that block crosses at most one boundary, and the dense view of the next
-    segment holds the part past it, which a `dsyrk` updates there after a
-    `dgemm` on the rows below the part before it.  The solves run `dtbsv` on
-    each segment as a band and one `dgbmv` into the next: a segment has more
-    columns than its ld, so the rows it reaches there are an upper triangle
-    in the band storage of its last ld columns.
+    of a segment is the largest depth, width + below, of its panels, and a
+    segment closes after the first panel that gives it more columns than its
+    ld.  The reach of the columns never decreases, so the first panel of the
+    next segment reaches every row that the trailing block of a panel
+    reaches: that block crosses at most one boundary, and the dense view of
+    the next segment holds the part past it, which a `dsyrk` updates there
+    after a `dgemm` on the rows below the part before it.  The solves run
+    `dtbsv` on each segment as a band and one `dgbmv` into the next: a
+    segment has more columns than its ld, so the rows it reaches there are an
+    upper triangle in the band storage of its last ld columns.
 
     Calling it with the stored entries of the blocks (pairs, 30) scatters them
     into the storage, allocated once, factors R there, replacing the previous
@@ -199,9 +199,9 @@ class _BandCholesky:
         below = reach[first + width - 1] + 1 - (first + width)
         self.plan = list(zip(first.tolist(), width.tolist(), below.tolist()))
         # A panel's dense view reaches width + below - 1 rows below its first
-        # diagonal entry, and is at least as deep as the panel is wide, as
-        # LAPACK asks.
-        depth = np.maximum(width + below - 1, width).tolist()
+        # diagonal entry; a trailing block that crosses into a segment has at
+        # most width + below rows of its first panel, the ld `dsyrk` asks for.
+        depth = (width + below).tolist()
         self.segments = []  # (first column, end column, ld)
         start = ld = 0
         for (c, w, _), panel_depth in zip(self.plan, depth):

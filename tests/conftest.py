@@ -75,9 +75,20 @@ def interpolate_dkt(mesh, y, grad_y):
 # the nodal frames, from the mesh or the field alone
 
 def bending_stiffness(mesh):
-    """K of `assemble_bending_stiffness`, from the mesh's own vertex pairs."""
+    """K_s of `assemble_bending_stiffness`, from the mesh's own vertex pairs."""
     pairs = linsolve.vertex_pair_blocks(mesh.triangles, dkt.element_operators(mesh).bending)
     return en.assemble_bending_stiffness(mesh, pairs)
+
+
+def expanded_stiffness(K_s):
+    """The stiffness K = kron(I_3, K_s) of the nine dofs of each vertex, as a
+    (9V, 9V) CSR matrix in the dof order 9 v + 3 c + k of the fields: row
+    9 v + 3 c + k of K is row 3 v + k of K_s, on the dofs of component c."""
+    V = K_s.shape[0] // 3
+    v, ck = np.divmod(np.arange(9 * V), 9)
+    c, k = np.divmod(ck, 3)
+    order = 3 * V * c + 3 * v + k
+    return sp.kron(sp.identity(3), K_s, format="csr")[order][:, order]
 
 
 def curvature_terms(mesh, field, alpha, ops=None):
@@ -519,10 +530,11 @@ def flat_update_rounding_scale(flow):
     the noise feeds the smoothest, least stiff modes of the step operator.
     """
     y = dkt.flat_embedding(flow.mesh)
-    rho = residual_rounding_scale(flow.K, y)
+    K = expanded_stiffness(flow.K)
+    rho = residual_rounding_scale(K, y)
     Q, _ = tangent_basis(y.gradients()[flow.free_vertices])
     d_f = flow.system.solve(Q, rho[flow.free])
-    K_ff = flow.K[flow.free][:, flow.free]
+    K_ff = K[flow.free][:, flow.free]
     return float(np.sqrt(d_f @ (K_ff @ d_f)))
 
 

@@ -27,6 +27,13 @@ OSHAPE_TABLE = {
     4: (8589, 1.444, 5.247e-2),
 }
 
+# outcomes of the obstacle preset, measured by this repository, not
+# published: level -> (iterations, energy, delta_iso, delta_pen)
+OBSTACLE_TABLE = {
+    1: (2368, -6.741e-2, 2.195e-5, 1.527e-2),
+    2: (2913, -6.797e-2, 1.976e-5, 1.622e-2),
+}
+
 
 def check(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
@@ -67,7 +74,8 @@ def rect_l1_run():
 
 @pytest.fixture(scope="module")
 def penalized_l1_sweep():
-    """Penalty sweep at level 1 (criterion 9)."""
+    """Penalty sweep at level 1 (criterion 9); its eps = 1.25e-1 member is the
+    obstacle preset at level 1."""
     mesh = oshape_mesh(1)
     out = {}
     for eps in (5.0e-1, 2.5e-1, 1.25e-1, 6.25e-2):
@@ -179,19 +187,20 @@ def _check_table_row(tag, report, level):
           f"delta_iso {report.delta_iso:.4e} (ref {d_tab:.4e} ±15%)")
 
 
-def _check_printed_row(tag, run, level):
-    """The published row to its printed digits: the exact iteration count,
-    and the energy and delta_iso as `OSHAPE_TABLE` prints them (:.3e).  The
-    detail gives the margins: how far each value lies inside the interval
-    that rounds to its printed digits, and how far the last two update norms
-    lie on either side of eps_stop, relative to it."""
+def _check_printed_row(tag, run, row):
+    """A row of `OSHAPE_TABLE` or `OBSTACLE_TABLE` to its printed digits: the
+    exact iteration count, and the energy, delta_iso and (in an obstacle row)
+    delta_pen as the row prints them (:.3e).  The detail gives the margins:
+    how far each value lies inside the interval that rounds to its printed
+    digits, and how far the last two update norms lie on either side of
+    eps_stop, relative to it."""
     report, state = run
-    eps_stop = 1e-3  # as in run_oshape
-    iters, *published = OSHAPE_TABLE[level]
-    values = (report.energy_with_mismatch_constant, report.delta_iso)
+    eps_stop = 1e-3  # as in run_oshape and the penalized runs
+    iters, *published = row
+    values = (report.energy_with_mismatch_constant, report.delta_iso, report.delta_pen)
     ok = report.converged and report.iterations == iters
     details = [f"iters {report.iterations} (ref {iters})"]
-    for name, value, ref in zip(("energy", "delta_iso"), values, published):
+    for name, value, ref in zip(("energy", "delta_iso", "delta_pen"), values, published):
         ok &= f"{value:.3e}" == f"{ref:.3e}"
         margin = 0.5 * 10.0 ** (np.floor(np.log10(abs(ref))) - 3) - abs(value - ref)
         details.append(f"{name} {value:.6e} (ref {ref:.3e}, margin {margin:.2e})")
@@ -220,12 +229,13 @@ def test_criterion_5_oshape_level2(oshape_l2_run):
 
 @pytest.mark.acceptance
 def test_criterion_5_oshape_level1_printed_digits(oshape_l1_runs):
-    _check_printed_row("5c (O-shape level 1, printed digits)", oshape_l1_runs[5], 1)
+    _check_printed_row("5c (O-shape level 1, printed digits)", oshape_l1_runs[5],
+                       OSHAPE_TABLE[1])
 
 
 @pytest.mark.acceptance
 def test_criterion_5_oshape_level2_printed_digits(oshape_l2_run):
-    _check_printed_row("5d (O-shape level 2, printed digits)", oshape_l2_run, 2)
+    _check_printed_row("5d (O-shape level 2, printed digits)", oshape_l2_run, OSHAPE_TABLE[2])
 
 
 @pytest.mark.acceptance
@@ -271,6 +281,19 @@ def test_criterion_8_penalized_lyapunov(penalized_l2_run):
     check("8 (penalized Lyapunov decay, level 2)",
           report.converged and worst <= 1e-10,
           f"{report.iterations} iterations, largest increase of E+P {worst:.3e}")
+
+
+@pytest.mark.acceptance
+def test_criterion_8_obstacle_level2_printed_digits(penalized_l2_run):
+    _check_printed_row("8b (obstacle level 2, measured row)", penalized_l2_run,
+                       OBSTACLE_TABLE[2])
+
+
+@pytest.mark.acceptance
+def test_criterion_9_obstacle_level1_printed_digits(penalized_l1_sweep):
+    # the eps = 1.25e-1 member of the sweep is the obstacle preset at level 1
+    _check_printed_row("9b (obstacle level 1, measured row)", penalized_l1_sweep[1.25e-1],
+                       OBSTACLE_TABLE[1])
 
 
 @pytest.mark.acceptance
@@ -326,4 +349,5 @@ def test_criterion_10_rectangle_smoke(rect_l1_run, oshape_l1_runs, tmp_path):
 def test_criterion_10_slow_oshape_rows(level):
     run = run_oshape(level)
     _check_table_row(f"10-slow (O-shape level {level} vs published row)", run[0], level)
-    _check_printed_row(f"10-slow (O-shape level {level}, printed digits)", run, level)
+    _check_printed_row(f"10-slow (O-shape level {level}, printed digits)", run,
+                       OSHAPE_TABLE[level])

@@ -11,8 +11,8 @@ from plateflow.flow import GradientFlow
 
 from conftest import (EPS, TRI_QUAD_DEGREE5, CubicEvaluator, bending_stiffness, cylinder_map,
                       discrete_lp_norm, einsum_element_operators, einsum_physical_gradients,
-                      einsum_stiffness, interpolate_dkt, isometry_defect, lumped_p1_integral,
-                      random_field)
+                      einsum_stiffness, expanded_stiffness, interpolate_dkt, isometry_defect,
+                      lumped_p1_integral, random_field)
 
 TRI = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.7]])
 
@@ -227,7 +227,7 @@ def test_element_bending_flat_state_zero():
 
 def test_element_bending_psd_and_block_diagonal():
     m = pm.build_edge_data(TRI, [[0, 1, 2]])
-    K = bending_stiffness(m).toarray()
+    K = expanded_stiffness(bending_stiffness(m)).toarray()
     assert np.linalg.eigvalsh(K).min() > -1e-12
     # the dofs 9 v + 3 c + k of different components c never couple
     component = np.arange(27) // 3 % 3
@@ -476,7 +476,7 @@ def test_seminorm_property_clamped(rect_l2_clamped):
     # restricted to free dofs is positive definite
     m = rect_l2_clamped
     free = (9 * m.free_vertices[:, None] + np.arange(9)).reshape(-1)
-    K = bending_stiffness(m)
+    K = expanded_stiffness(bending_stiffness(m))
     K_ff = K[free][:, free]
     # the eigenvalue nearest 0, by shift-invert Lanczos
     ev = eigsh(K_ff.tocsc(), k=1, sigma=0, return_eigenvectors=False)

@@ -6,7 +6,8 @@ from plateflow.dkt import flat_embedding
 from plateflow.energy import SimulationParams
 
 from conftest import (EPS, bending_stiffness, coo_bending_stiffness, curvature_terms,
-                      cylinder_map, flat_energy_rounding_scale, interpolate_dkt,
+                      cylinder_map, expanded_stiffness, flat_energy_rounding_scale,
+                      interpolate_dkt,
                       lumped_p1_integral, nonlinear_energy_term, nonlinear_rhs,
                       obstacle_penetration, penalty_energy, penalty_pieces, penalty_rhs,
                       random_field, residual_rounding_scale, total_energy)
@@ -41,7 +42,7 @@ def test_stiffness_annihilates_flat_state(rect_l2, rect_l2_symmetric):
     # 0.8 eps |K| |y| on levels 1-3, both patterns); a flat field with one
     # out-of-plane slope of 1e-3 stays far above that bound
     for mesh in (rect_l2, rect_l2_symmetric):
-        K = bending_stiffness(mesh).tocsr()
+        K = expanded_stiffness(bending_stiffness(mesh))
         flat = flat_embedding(mesh)
         bound = np.diff(K.indptr).max() * residual_rounding_scale(K, flat)
         assert (np.abs(K @ flat.dofs) <= bound).all()
@@ -55,17 +56,25 @@ def test_stiffness_annihilates_flat_state(rect_l2, rect_l2_symmetric):
 @pytest.mark.parametrize("pattern", ["nonsymmetric", "symmetric"])
 @pytest.mark.parametrize("domain", ["rectangle", "oshape"])
 def test_stiffness_matches_coo_assembly(domain, pattern, level):
-    # K written from the summed vertex-pair blocks has the sorted pattern of
-    # the COO assembly of the element blocks and the same entries up to the
-    # order of summation
+    # K = kron(I_3, K_s), with K_s written from the summed vertex-pair blocks,
+    # has the sorted pattern of the COO assembly of the element blocks and the
+    # same entries up to the order of summation; K_s stores one 3x3 block per
+    # vertex pair, a vertex with itself and the two ends of an edge both ways
+    # round, and `bending_product` applies it to the three components as K
+    # does, bit for bit
     generate = pm.generate_rectangle_mesh if domain == "rectangle" else pm.generate_oshape_mesh
     mesh = generate(level, pattern)
-    K = bending_stiffness(mesh)
+    K_s = bending_stiffness(mesh)
+    assert K_s.shape == (3 * mesh.num_vertices, 3 * mesh.num_vertices)
+    assert K_s.nnz == 9 * (mesh.num_vertices + 2 * mesh.num_edges)
+    K = expanded_stiffness(K_s)
     expected = coo_bending_stiffness(mesh)
     assert K.has_sorted_indices
     assert np.array_equal(K.indptr, expected.indptr)
     assert np.array_equal(K.indices, expected.indices)
     assert np.abs(K.data - expected.data).max() <= 1e-15 * np.abs(expected.data).max()
+    y = random_field(mesh, np.random.default_rng(level)).dofs
+    assert np.array_equal(en.bending_product(K_s, y), K @ y)
 
 
 def test_stiffness_symmetry(rect_l2):
@@ -76,7 +85,7 @@ def test_stiffness_symmetry(rect_l2):
 def test_stiffness_matches_element_sum(rect_l2):
     rng = np.random.default_rng(23)
     field = random_field(rect_l2, rng)
-    K = bending_stiffness(rect_l2)
+    K = expanded_stiffness(bending_stiffness(rect_l2))
     quad = 0.5 * float(field.dofs @ (K @ field.dofs))
     ops = dkt.element_operators(rect_l2)
     loc = field.dofs[ops.scalar_dof_indices]
@@ -85,7 +94,7 @@ def test_stiffness_matches_element_sum(rect_l2):
 
 
 def test_stiffness_sparsity_is_local(rect_l2):
-    K = bending_stiffness(rect_l2).tocoo()
+    K = expanded_stiffness(bending_stiffness(rect_l2)).tocoo()
     tri = rect_l2.triangles
     neighbors = {v: {v} for v in range(rect_l2.num_vertices)}
     for t in tri:
@@ -247,7 +256,7 @@ def test_total_energy_flat_zero(rect_l2, rect_l2_symmetric):
         bent = flat.copy()
         centre = int(np.argmin(np.linalg.norm(mesh.vertices, axis=1)))
         bent.nodal()[centre, 2, 1] += 1e-3
-        K = bending_stiffness(mesh)
+        K = expanded_stiffness(bending_stiffness(mesh))
         for path_K in (None, K):
             assert abs(total_energy(mesh, flat, params, K=path_K)) <= bound
             assert total_energy(mesh, bent, params, K=path_K) >= 100 * bound
@@ -273,7 +282,7 @@ def test_total_energy_gradient_consistency(rect_l2):
     rng = np.random.default_rng(47)
     field = random_field(rect_l2, rng, scale=0.5)
     params = SimulationParams(alpha=1.2, tau=0.1, f=(0.0, 0.0, 2e-3))
-    K = bending_stiffness(rect_l2)
+    K = expanded_stiffness(bending_stiffness(rect_l2))
     grad_vec = (K @ field.dofs - curvature_terms(rect_l2, field, params.alpha)[1]
                 - en.force_rhs(rect_l2, params.f))
     step = 1e-4 * np.abs(field.dofs).max()

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky_banded
+from scipy.spatial import Delaunay
 
 from plateflow import constraints, energy, flow as flow_module, linsolve, mesh as pm
 from plateflow.dkt import flat_embedding, vertex_lumped_masses
@@ -14,7 +15,7 @@ from plateflow.energy import SimulationParams
 from plateflow.flow import GradientFlow, StepSizeWarning, step_size_safeguard
 from plateflow.presets import RunConfig, resolve
 
-from conftest import (dense_basis, flat_update_rounding_scale, isometry_defect,
+from conftest import (dense_basis, expanded_stiffness, flat_update_rounding_scale, isometry_defect,
                       obstacle_penetration, penalty_energy, penalty_rhs, random_field,
                       reduced_matrix, stored_lower, tangent_basis, total_energy)
 
@@ -75,10 +76,11 @@ def test_bending_seminorm_stays_bounded(oshape_l1_clamped):
     flow = GradientFlow(oshape_l1_clamped, params)
     state = flow.initial_state()
     scale = np.sqrt(2 * params.alpha**2 * oshape_l1_clamped.domain_area)
+    K = expanded_stiffness(flow.K)
     for k in range(500):
         state = flow.step(state)
         if k % 25 == 0:
-            norm = np.sqrt(max(state.y.dofs @ (flow.K @ state.y.dofs), 0.0))
+            norm = np.sqrt(max(state.y.dofs @ (K @ state.y.dofs), 0.0))
             assert norm <= 10.0 * scale
 
 
@@ -163,7 +165,7 @@ def test_states_carry_the_energies_of_their_iterates(eps_penalty, oshape_l1_clam
         assert state.penalty_energy == pen
         assert state.delta_pen == (obstacle_penetration(state.y) if eps_penalty else 0.0)
         assert state.delta_iso == isometry_defect(state.y)
-        expected = total_energy(m, state.y, params, K=flow.K) + pen
+        expected = total_energy(m, state.y, params, K=expanded_stiffness(flow.K)) + pen
         assert abs(state.energy - expected) <= 1e-12 * max(abs(expected), 1.0)
         state = flow.step(state)
 
@@ -382,6 +384,59 @@ def test_envelope_storage_is_smaller_than_the_band(level):
         assert c + w + m <= ends[min(k + 1, len(ends) - 1)]
 
 
+@pytest.mark.parametrize("panel", [6, 12, 24, 48])
+def test_envelope_plan_fits_the_leading_dimensions(monkeypatch, panel):
+    # at every panel width, on the preset meshes at levels 0-3, each kernel
+    # call of a panel fits the leading dimension of the segment it writes:
+    # the dense view of the panel its own segment's, and the part of its
+    # trailing block past the segment's end the next segment's, the
+    # N <= LDC that `dsyrk` asks for there
+    monkeypatch.setattr(linsolve, "_PANEL", panel)
+    for experiment in ("oshape", "rectangle", "obstacle"):
+        for level in range(4):
+            mesh = resolve(RunConfig(experiment=experiment, level=level)).mesh
+            pairs = linsolve.vertex_pair_blocks(mesh.triangles,
+                                                np.zeros((len(mesh.triangles), 9, 9)))
+            factorization = linsolve.TangentSystem(pairs, mesh.free_vertices)._factorize
+            start, end, ld = np.array(factorization.segments).T
+            for c, w, m in factorization.plan:
+                k = np.searchsorted(start, c, side="right") - 1
+                assert max(w, w + m - 1) <= ld[k], (experiment, level, c)
+                past = c + w + m - max(c + w, end[k])
+                if past > 0:
+                    assert past <= ld[k + 1], (experiment, level, c)
+
+
+def delaunay_rectangle(seed):
+    """The Delaunay triangulation of 60-400 random points in the rectangle
+    (-5, 5) x (-2, 2) and 56 points on its boundary, clamped on its left edge."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 400))
+    inner = np.column_stack([rng.uniform(-4.9, 4.9, n), rng.uniform(-1.9, 1.9, n)])
+    x, y = np.linspace(-5.0, 5.0, 21), np.linspace(-2.0, 2.0, 9)[1:-1]
+    boundary = np.concatenate([np.column_stack([x, np.full(21, s)]) for s in (-2.0, 2.0)]
+                              + [np.column_stack([np.full(7, s), y]) for s in (-5.0, 5.0)])
+    points = np.concatenate([boundary, inner])
+    triangles = Delaunay(points).simplices
+    a, b, c = (points[triangles[:, i]] for i in range(3))
+    clockwise = (b - a)[:, 0] * (c - a)[:, 1] < (b - a)[:, 1] * (c - a)[:, 0]
+    triangles[clockwise] = triangles[clockwise][:, ::-1]
+    mesh = pm.build_edge_data(points, triangles)
+    return pm.tag_dirichlet_boundary(mesh, [((-5.0, -2.0), (-5.0, 2.0))])
+
+
+@pytest.mark.parametrize("seed", [25, 72, 153])
+def test_unstructured_meshes_take_their_steps(seed):
+    # the three of 200 seeded Delaunay rectangles on which a trailing block
+    # crossing a segment boundary once reached deeper than the next
+    # segment's leading dimension, and the factorization failed
+    flow = GradientFlow(delaunay_rectangle(seed), SimulationParams(alpha=1.0, tau=0.02,
+                                                                   max_iters=3))
+    report, _ = flow.run()
+    assert report.termination_reason == "max_iters", report.termination_detail
+    assert report.iterations == 3
+
+
 @pytest.mark.parametrize("eps_penalty", [None, 0.125], ids=["isometry_flow", "penalized_flow"])
 def test_blockwise_step_matrix_matches_dense_product(eps_penalty, oshape_l1_clamped):
     # the reduced matrix a step factors equals Z^T A_ff Z with the dense
@@ -389,7 +444,7 @@ def test_blockwise_step_matrix_matches_dense_product(eps_penalty, oshape_l1_clam
     m = oshape_l1_clamped
     params = SimulationParams(alpha=0.5, tau=0.1, eps_penalty=eps_penalty)
     flow = GradientFlow(m, params)
-    A = (1.0 + params.tau) * flow.K.toarray()
+    A = (1.0 + params.tau) * expanded_stiffness(flow.K).toarray()
     if params.penalized:
         values = 9 * np.arange(m.num_vertices) + 6   # third component, value
         A[values, values] += params.tau / params.eps_penalty * vertex_lumped_masses(m)
