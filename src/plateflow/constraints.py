@@ -34,7 +34,7 @@ class ConstraintDegeneracyError(RuntimeError):
 def cross(a, b) -> np.ndarray:
     """a x b over the last axis, written out: on the small stacks of a flow
     step it takes half the time of np.cross and gives the same bits."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast(a, b).shape)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
@@ -76,26 +76,31 @@ def tangent_basis(grads: np.ndarray, frames):
     far below them unaffected.
     """
     p, q, m, normal = frames
-    mean = 2.0 * (p + q) / 3.0
-    d0, d1, d2 = p - mean, q - mean, p + q - mean
-    width = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 4.0 * m * m) / 6.0)
+    trace = p + q
+    mean = 2.0 * trace / 3.0
+    d0, d1, d2 = p - mean, q - mean, trace - mean
+    mm = m * m
+    width = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 4.0 * mm) / 6.0)
     # det(C C^T - mean I) / (2 width^3), the cosine of three times the angle
-    det = d0 * d1 * d2 - (d0 + d1) * m * m
+    det = d0 * d1 * d2 - (d0 + d1) * mm
     cos3 = np.divide(det, 2.0 * width**3, out=np.zeros_like(det), where=width > 0)
     angle = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
     smallest = mean + 2.0 * width * np.cos(angle + 2.0 * np.pi / 3.0)
     sigma = np.sqrt(np.maximum(smallest, 0.0))
 
-    Q = np.zeros(grads.shape + (3,))
+    # Q is stored with the kind before the component, entry [v, k, c, j], the
+    # layout in which `linsolve.TangentSystem` gathers it, and returned as a
+    # view in the order [v, c, k, j]
+    Qk = np.zeros((len(grads), 2, 3, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = normal / np.sqrt((normal * normal).sum(axis=1))[:, None]
-        drill = 1.0 / np.sqrt(p + q)
-    Q[:, :, 0, 0] = nu
-    Q[:, :, 1, 1] = nu
+        drill = 1.0 / np.sqrt(trace)
+    Qk[:, 0, :, 0] = nu
+    Qk[:, 1, :, 1] = nu
     # (nu x a1, nu x a2), with the component axis last
-    Q[:, :, :, 2] = (drill[:, None, None]
-                     * cross(nu[:, None, :], grads.transpose(0, 2, 1))).transpose(0, 2, 1)
-    return Q, sigma
+    np.multiply(drill[:, None, None], cross(nu[:, None, :], grads.transpose(0, 2, 1)),
+                out=Qk[:, :, :, 2])
+    return Qk.transpose(0, 2, 1, 3), sigma
 
 
 def nodal_isometry_defects(frames) -> np.ndarray:

@@ -87,10 +87,13 @@ def assemble_bending_stiffness(mesh: TriangleMesh, pairs) -> sp.csr_matrix:
 
 def bending_product(K: sp.csr_matrix, dofs: np.ndarray) -> np.ndarray:
     """K y for the scalar stiffness K of `assemble_bending_stiffness` applied
-    to each component of the dofs y (9 v + 3 c + k), in one product."""
+    to each component of the dofs y (9 v + 3 c + k), in one product.  `dofs`
+    may also stack m fields, shape (m, 9V): their products come from one
+    product of K with 3 m columns, bit for bit as one at a time."""
     V = K.shape[0] // 3
-    by_component = dofs.reshape(V, 3, 3).transpose(0, 2, 1).reshape(3 * V, 3)
-    return (K @ by_component).reshape(V, 3, 3).transpose(0, 2, 1).reshape(-1)
+    m = dofs.size // (9 * V)
+    by_component = dofs.reshape(m, V, 3, 3).transpose(1, 3, 0, 2).reshape(3 * V, 3 * m)
+    return (K @ by_component).reshape(V, 3, m, 3).transpose(2, 0, 3, 1).reshape(dofs.shape)
 
 
 def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
@@ -106,8 +109,8 @@ def curvature_terms(mesh: TriangleMesh, field: DeformationField, alpha: float,
     The term is cubic in y, so r . y is three times its value.
     """
     tri = mesh.triangles
-    g = field.gradients()
-    a1, a2 = g[:, :, 0][tri], g[:, :, 1][tri]                 # (F, 3v, 3c)
+    g = field.nodal()[tri]                                    # (F, 3v, 3c, 3)
+    a1, a2 = g[..., 1], g[..., 2]                             # (F, 3v, 3c)
     nu = frames[3][tri]
     loc = field.dofs[ops.scalar_dof_indices]                  # (F, 3c, 9)
     lap = np.matmul(ops.divergence, loc.transpose(0, 2, 1))   # (F, 3v, 3c)

@@ -145,9 +145,10 @@ class GradientFlow:
 
     # -- state bookkeeping ---------------------------------------------------
 
-    def _evaluate(self, k: int, y: DeformationField, update_norm: float, residual: float,
-                  history: list) -> FlowState:
-        """The state at the iterate y, from y alone, with one pass over its frames.
+    def _evaluate(self, k: int, y: DeformationField, Ky: np.ndarray, update_norm: float,
+                  residual: float, history: list) -> FlowState:
+        """The state at the iterate y, from y and its product K y alone, with
+        one pass over its frames.
 
         Its Lyapunov value E (+ penalty) takes E from K y, the
         spontaneous-curvature term and the force; K y, its explicit rhs
@@ -159,7 +160,6 @@ class GradientFlow:
         frames = nodal_frames(grads)
         Q, sigma = tangent_basis(grads[self.free_vertices],
                                  [part[self.free_vertices] for part in frames])
-        Ky = en.bending_product(self.K, y.dofs)
         e = 0.5 * float(y.dofs @ Ky)
         if p.alpha:
             curvature, rhs = en.curvature_terms(self.mesh, y, p.alpha, self.ops, frames)
@@ -183,7 +183,7 @@ class GradientFlow:
         y = y0 if y0 is not None else flat_embedding(self.mesh)
         if y.dofs.size != 9 * self.mesh.num_vertices:
             raise ValueError("initial field does not match the mesh")
-        return self._evaluate(0, y, np.inf, 0.0, [])
+        return self._evaluate(0, y, en.bending_product(self.K, y.dofs), np.inf, 0.0, [])
 
     # -- one pseudo-time step -------------------------------------------------
 
@@ -199,20 +199,24 @@ class GradientFlow:
         rhs = state.explicit_rhs + self.force_rhs - state.Ky
         d_f = self.system.solve(state.basis, rhs[self.free])
 
-        d = np.zeros(y.dofs.size)
+        # the next iterate y + tau d and d, whose products with K come from one
+        fields = np.zeros((2, y.dofs.size))
+        y_next, d = fields
         d[self.free] = d_f
+        np.add(y.dofs, self.params.tau * d, out=y_next)
         scale = max(float(np.abs(d_f).max(initial=0.0)), 1e-300)
-        # the linearized constraint C_z grad(d) at each free vertex
+        # the linearized constraint C_z grad(d) at each free vertex, from the
+        # products a_k . d_l of the columns of grad(y) and grad(d)
         g = y.gradients()[self.free_vertices]     # (n, 3, 2): columns a1, a2
-        a1, a2 = g[:, :, 0], g[:, :, 1]
-        d1, d2 = d_f.reshape(-1, 3, 3)[:, :, 1], d_f.reshape(-1, 3, 3)[:, :, 2]
-        rows = np.stack([a1 * d1, a2 * d2, a2 * d1 + a1 * d2]).sum(axis=2)
-        residual = float(np.abs(rows).max(initial=0.0)) / scale
+        products = np.matmul(g.transpose(0, 2, 1), d_f.reshape(-1, 3, 3)[:, :, 1:])
+        rows = products.reshape(-1, 4)            # a1.d1, a1.d2, a2.d1, a2.d2
+        rows[:, 1] += rows[:, 2]
+        residual = float(np.abs(rows[:, (0, 1, 3)]).max(initial=0.0)) / scale
 
-        Kd = en.bending_product(self.K, d)
+        Ky, Kd = en.bending_product(self.K, fields)
         update_norm = float(np.sqrt(max(d @ Kd, 0.0)))
-        return self._evaluate(state.k + 1, DeformationField(y.dofs + self.params.tau * d),
-                              update_norm, residual, state.history)
+        return self._evaluate(state.k + 1, DeformationField(y_next), Ky, update_norm, residual,
+                              state.history)
 
     # -- full iteration --------------------------------------------------------
 

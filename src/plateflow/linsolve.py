@@ -54,6 +54,13 @@ BACKWARD_ERROR_TOL = 1e-12
 # unknowns of a vertex; 24 and 32 measure alike.
 _PANEL = 24
 
+# A segment of the envelope storage closes after the first panel that gives
+# it more than this many times its leading dimension in columns (see
+# `_BandCholesky`).  On the O-shape a factorization and a solve take 111 + 14
+# calls at level 1 and 1 462 + 78 at level 3; a span of 1 would take 125 + 38
+# and 1 846 + 250, and store 0-8 % less.
+_SEGMENT_SPAN = 3
+
 # The 30 stored entries (row a, column b) of a 6x6 block R_ij, in the order
 # `TangentSystem.assemble` packs them: value-value diagonal, value rows by
 # kernel columns, kernel rows by value columns, kernel-kernel.  Unknowns 0-2
@@ -168,11 +175,16 @@ class _BandCholesky:
     follows it, so in the dense view of the segment, with leading dimension
     ld, entry (i, j) lies i - j entries after the start of column j.  The ld
     of a segment is the largest depth, width + below, of its panels, and a
-    segment closes after the first panel that gives it more columns than its
-    ld.  The reach of the columns never decreases, so the first panel of the
-    next segment reaches every row that the trailing block of a panel
-    reaches: that block crosses at most one boundary, and the dense view of
-    the next segment holds the part past it, which a `dsyrk` updates there
+    segment closes after the first panel that gives it more than
+    `_SEGMENT_SPAN` (three) times its ld in columns: a trailing block that
+    crosses a boundary takes two more calls, and each boundary two in each
+    solve, while a longer segment stores a few more entries above its
+    deepest panels.  The reach of the columns never decreases, so the first
+    panel of the next segment reaches every row that the trailing block of a
+    panel reaches, and that is at most the next segment's ld below its
+    start.  The next segment has more columns than its ld, or ends at the
+    last row, so that block crosses at most one boundary, and the dense view
+    of the next segment holds the part past it, which a `dsyrk` updates there
     after a `dgemm` on the rows below the part before it.  The solves run
     `dtbsv` on each segment as a band and one `dgbmv` into the next: a
     segment has more columns than its ld, so the rows it reaches there are an
@@ -206,7 +218,7 @@ class _BandCholesky:
         start = ld = 0
         for (c, w, _), panel_depth in zip(self.plan, depth):
             ld = max(ld, panel_depth)
-            if c + w - start > ld or c + w == N:
+            if c + w - start > _SEGMENT_SPAN * ld or c + w == N:
                 self.segments.append((start, c + w, ld))
                 start, ld = c + w, 0
         start, end, ld = np.array(self.segments).T
@@ -372,7 +384,12 @@ class TangentSystem:
         upper = np.flatnonzero(rows <= cols)
         upper = upper[np.lexsort((rows[upper], cols[upper], rows[upper] != cols[upper]))]
         self._rows, self._cols = rows[upper], cols[upper]
-        self._blocks = blocks[upper]
+        # the nine values of each block S_ij, in the contiguous slices that
+        # `assemble` multiplies by: S_ij[0, 0], S_ij[1:, 0] and S_ij[:, 1:]
+        S = blocks[upper]
+        self._S_value = np.ascontiguousarray(S[:, :1, 0])
+        self._S_column = np.ascontiguousarray(S[:, None, 1:, 0])
+        self._S_gradient = np.ascontiguousarray(S[:, :, 1:])
         self._num_diagonal = int(np.count_nonzero(self._rows == self._cols))
         self._values = np.empty((len(upper), 30))
         self._abs = np.empty_like(self._values)
@@ -399,20 +416,21 @@ class TangentSystem:
         if Q.shape != (len(self.vertices), 3, 2, 3):
             raise ValueError(f"kernel blocks of shape {Q.shape} do not match "
                              f"{len(self.vertices)} vertices")
-        S = self._blocks
-        pairs = len(S)
-        # Q_i and Q_j with the kind first: entry [p, k, 3 c + j]
-        Qk = Q.transpose(0, 2, 1, 3)
-        Qi = Qk[self._rows].reshape(pairs, 2, 9)
-        Qj = Qk[self._cols].reshape(pairs, 2, 9)
+        pairs = len(self._rows)
+        # Q_i and Q_j with the kind first, entry [p, k, 3 c + j], gathered
+        # from one contiguous copy, which is Q itself in the layout of
+        # `tangent_basis`
+        Qk = np.ascontiguousarray(Q.transpose(0, 2, 1, 3)).reshape(-1, 2, 9)
+        Qi = np.take(Qk, self._rows, axis=0)
+        Qj = np.take(Qk, self._cols, axis=0)
         values = self._values
-        values[:, :3] = S[:, :1, 0]
+        values[:, :3] = self._S_value
         # SQ[p, k, 3 c + j] = S_ij[k, 1:] applied to the gradient rows of Q_j,
         # for the value row (k = 0) and the two gradient rows of component c
-        SQ = np.matmul(S[:, :, 1:], Qj)
+        SQ = np.matmul(self._S_gradient, Qj)
         values[:, 3:12] = SQ[:, 0]
         # value columns: the gradient rows of Q_i against S_ij[1:, 0]
-        np.matmul(S[:, None, 1:, 0], Qi, out=values[:, None, 12:21])
+        np.matmul(self._S_column, Qi, out=values[:, None, 12:21])
         # kernel-kernel: Q_i^T kron(I_3, S_ij[1:, 1:]) Q_j
         np.matmul(Qi.reshape(pairs, 6, 3).transpose(0, 2, 1), SQ[:, 1:].reshape(pairs, 6, 3),
                   out=values[:, 21:].reshape(pairs, 3, 3))
@@ -451,8 +469,9 @@ class TangentSystem:
         r = rhs.reshape(n, 3, 3)
         b = np.empty((n, 6))
         b[:, :3] = r[:, :, 0]
-        Q = Q.reshape(n, 6, 3)
-        b[:, 3:] = np.matmul(r[:, :, 1:].reshape(n, 1, 6), Q)[:, 0]
+        # the kernel blocks with the kind first, entry [v, 3 k + c, j]
+        Qk = Q.transpose(0, 2, 1, 3).reshape(n, 6, 3)
+        b[:, 3:] = np.matmul(r[:, :, 1:].transpose(0, 2, 1).reshape(n, 1, 6), Qk)[:, 0]
         b = b.reshape(-1)
         factorization = self._factorize(values)
         u = factorization.solve(b)
@@ -476,5 +495,5 @@ class TangentSystem:
         u = u.reshape(n, 6)
         d = np.empty((n, 3, 3))
         d[:, :, 0] = u[:, :3]
-        d[:, :, 1:] = np.matmul(Q, u[:, 3:, None]).reshape(n, 3, 2)
+        d[:, :, 1:] = np.matmul(Qk, u[:, 3:, None]).reshape(n, 2, 3).transpose(0, 2, 1)
         return d.reshape(-1)

@@ -37,11 +37,11 @@ PRESETS = {
 }
 
 # The finest mesh level the presets accept.  The factorization stores the
-# envelope of the step matrix: 0.56 GiB on the O-shape and 1.29 GiB on the
-# rectangle at level 5 (peak RSS of a step 0.96 and 1.9 GB), 4.2 and
-# 10.0 GiB at level 6.
+# envelope of the step matrix: 0.58 GiB on the O-shape and 1.30 GiB on the
+# rectangle at level 5 (peak RSS of a step 0.95 and 1.9 GB), 4.3 and
+# 10.1 GiB at level 6 (the size of its plan, from the mesh's vertex graph).
 MAX_LEVEL = 5
-_LEVEL_6_GIB = {"oshape": 4.2, "rectangle": 10.0}
+_LEVEL_6_GIB = {"oshape": 4.3, "rectangle": 10.1}
 
 
 class ConfigError(ValueError):

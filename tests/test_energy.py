@@ -61,7 +61,7 @@ def test_stiffness_matches_coo_assembly(domain, pattern, level):
     # same entries up to the order of summation; K_s stores one 3x3 block per
     # vertex pair, a vertex with itself and the two ends of an edge both ways
     # round, and `bending_product` applies it to the three components as K
-    # does, bit for bit
+    # does, bit for bit, also to two fields stacked in one product
     generate = pm.generate_rectangle_mesh if domain == "rectangle" else pm.generate_oshape_mesh
     mesh = generate(level, pattern)
     K_s = bending_stiffness(mesh)
@@ -73,8 +73,14 @@ def test_stiffness_matches_coo_assembly(domain, pattern, level):
     assert np.array_equal(K.indptr, expected.indptr)
     assert np.array_equal(K.indices, expected.indices)
     assert np.abs(K.data - expected.data).max() <= 1e-15 * np.abs(expected.data).max()
-    y = random_field(mesh, np.random.default_rng(level)).dofs
+    rng = np.random.default_rng(level)
+    y = random_field(mesh, rng).dofs
     assert np.array_equal(en.bending_product(K_s, y), K @ y)
+    fields = np.stack([y, random_field(mesh, rng).dofs])
+    products = en.bending_product(K_s, fields)
+    assert products.shape == fields.shape
+    for field, product in zip(fields, products):
+        assert np.array_equal(product, en.bending_product(K_s, field))
 
 
 def test_stiffness_symmetry(rect_l2):

@@ -256,6 +256,32 @@ def test_each_iterate_reads_its_frames_once(monkeypatch, experiment):
     assert len(calls) == 2
 
 
+class CountedStiffness:
+    """The scalar stiffness K_s of a flow, counting its products."""
+
+    def __init__(self, K):
+        self.K, self.products = K, 0
+        self.shape = K.shape
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.K @ x
+
+
+@pytest.mark.parametrize("experiment", ["oshape", "obstacle"])
+def test_each_step_makes_one_stiffness_product(experiment):
+    # a step takes K y of the next iterate and K d from one product with
+    # K_s, and hands K y to the next state: one product for the initial
+    # state and one per step
+    flow, y0 = preset_flow(experiment)
+    flow.K = CountedStiffness(flow.K)
+    state = flow.initial_state(y0)
+    assert flow.K.products == 1
+    for products in (2, 3):
+        state = flow.step(state)
+        assert flow.K.products == products
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_flow_orders_tangent_system(level):
     # the flow numbers the free vertices once, in a band order, and every
@@ -309,7 +335,11 @@ def test_set_up_sums_the_vertex_pairs_once(monkeypatch, experiment):
     expected = sorted((rank[i], rank[j]) for i, j in direct if rank[i] <= rank[j])
     assert sorted(zip(system._rows.tolist(), system._cols.tolist())) == expected
     vertices = system.vertices
-    for r, c, block in zip(system._rows, system._cols, system._blocks):
+    blocks = np.empty((len(system._rows), 3, 3))
+    blocks[:, :1, 0] = system._S_value
+    blocks[:, 1:, 0] = system._S_column[:, 0]
+    blocks[:, :, 1:] = system._S_gradient
+    for r, c, block in zip(system._rows, system._cols, blocks):
         assert np.array_equal(block, (1.0 + tau) * direct[vertices[r], vertices[c]])
 
 

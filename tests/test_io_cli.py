@@ -213,9 +213,9 @@ def test_levels_past_the_memory_cap_rejected(tmp_path, capsys):
     # level 5 resolves; level 6 is refused with the memory its factorization
     # would take, by resolve and by the command line, before any output
     assert resolve(RunConfig(experiment="oshape", level=5)).mesh.num_vertices > 0
-    with pytest.raises(ConfigError, match=r"level 6 .* 4\.2 GiB"):
+    with pytest.raises(ConfigError, match=r"level 6 .* 4\.3 GiB"):
         resolve(RunConfig(experiment="oshape", level=6))
-    with pytest.raises(ConfigError, match=r"10\.0 GiB"):
+    with pytest.raises(ConfigError, match=r"10\.1 GiB"):
         resolve(RunConfig(experiment="rectangle", level=7))
     out = tmp_path / "run"
     assert main(["--level", "6", "--out", str(out)]) == 2
